@@ -26,6 +26,11 @@ produced triggers carry id tuples — Term objects never materialize on
 this path.  The public surface still accepts Atom frontiers (they are
 encoded on entry), and ``Trigger.assignment`` decodes lazily.
 
+Discovery always runs the tuple-at-a-time loop.  The columnar batch
+kernel of :mod:`repro.query.kernels` serves fat queries; on chase
+rounds it bought no chase time and held more memory (PERF.md, "Batch
+kernels").
+
 Two pieces live here:
 
 * :func:`delta_triggers` — one discovery pass: triggers whose body
@@ -62,7 +67,6 @@ from typing import (
 
 from ..errors import BudgetExceededError
 from ..model import Atom, Instance, TGD
-from ..query.kernels import batch_rule_matches
 from .scheduler import (
     RoundScheduler,
     ShipLog,
@@ -72,12 +76,6 @@ from .scheduler import (
 from .triggers import ChaseVariant, Trigger, rule_exec
 
 FrontierFact = Union[int, Atom]
-
-#: Under ``kernel="auto"`` a (rule, pivot) batch goes vectorized only
-#: when the frontier hands it at least this many candidate rows — the
-#: "fat round" threshold below which the tuple loop's lower constant
-#: cost wins.  ``kernel="vector"`` batches unconditionally.
-_FAT_ROUND_MIN = 512
 
 
 def _group_rows(
@@ -115,20 +113,10 @@ def delta_triggers(
     """Triggers whose body match involves at least one fact from
     ``new_facts`` (fact ordinals, or Atoms on the public surface).
     May repeat a trigger (when several body atoms hit new facts); the
-    caller's fired-key set deduplicates.
-
-    When the instance's ``kernel`` policy says so ("vector" always;
-    "auto" for fat batches of at least :data:`_FAT_ROUND_MIN` candidate
-    rows), a (rule, pivot) batch is evaluated by the columnar batch
-    kernel (:func:`repro.query.kernels.batch_rule_matches`) instead of
-    the tuple loop.  The batch join is order-exact, so the trigger
-    stream — ids, order, and all — is byte-identical either way."""
+    caller's fired-key set deduplicates."""
     groups = _group_rows(instance, new_facts)
     if not groups:
         return
-    kernel = instance.kernel
-    batch_always = kernel == "vector"
-    batch_fat = batch_always or kernel == "auto"
     for rule_index, rule in enumerate(rules):
         body = rule.body
         for pivot in range(len(body)):
@@ -137,15 +125,6 @@ def delta_triggers(
             if not candidates:
                 continue
             exec_ = rule_exec(instance, rule, pivot)
-            if batch_fat and (
-                batch_always or len(candidates) >= _FAT_ROUND_MIN
-            ):
-                for ids in batch_rule_matches(
-                    instance, exec_.pivot_step, exec_.rest,
-                    candidates, exec_.emit_slots,
-                ):
-                    yield Trigger.from_ids(rule, rule_index, ids, instance)
-                continue
             pivot_step = exec_.pivot_step
             rest = exec_.rest
             emit = exec_.emit

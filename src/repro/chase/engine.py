@@ -11,7 +11,9 @@ of §2.
 
 The round machinery itself — pivot-seeded discovery, the frontier, the
 persistent fired-key set — lives in :mod:`repro.chase.delta` and is
-shared with the termination deciders' Skolem chase.
+shared with the termination deciders' Skolem chase.  Discovery runs
+the tuple-at-a-time join executor; the columnar batch kernel of
+:mod:`repro.query.kernels` is a query-side tier only.
 
 Termination is detected when a full round fires nothing.  A
 ``max_steps`` budget makes the engine total on non-terminating inputs
@@ -220,7 +222,6 @@ def run_chase(
     scheduler: SchedulerSpec = None,
     workers: Optional[int] = None,
     planner: str = "heuristic",
-    kernel: str = "tuple",
     budget: Optional[Budget] = None,
     save: Optional[str] = None,
     checkpoint_every: int = 1,
@@ -250,16 +251,6 @@ def run_chase(
     renaming and restricted results are a different (equally valid)
     fair sequence.  Head-satisfaction probes are cost-planned under
     either policy (pure existence tests — order never shows).
-
-    ``kernel`` selects the execution tier for trigger discovery (see
-    :data:`repro.query.kernels.KERNELS`): ``"vector"`` runs rest-of-
-    body joins as columnar batch hash joins, ``"auto"`` does so only
-    for fat rounds (many candidate rows per pivot).  The batch join is
-    order-exact, so every kernel produces a **byte-identical** chase —
-    same facts in the same order, same trigger keys, same null
-    numbering; only speed changes.  (``"wcoj"`` is accepted and falls
-    back to tuple discovery — rule bodies are pivot-seeded joins, not
-    free multiway intersections.)
 
     For the oblivious and semi-oblivious variants, the paper recalls
     that all fair sequences agree on termination (CT_∀ = CT_∃), so the
@@ -296,12 +287,6 @@ def run_chase(
         raise ValueError(f"max_steps must be positive, got {max_steps}")
     if planner not in ("heuristic", "cost"):
         raise ValueError(f"unknown planner policy {planner!r}")
-    from ..query.kernels import KERNELS
-
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-        )
     if save is not None:
         if order_seed is not None:
             raise ValueError(
@@ -321,7 +306,6 @@ def run_chase(
     validate_program(rules)
     instance = Instance(database)
     instance.order_policy = planner
-    instance.kernel = kernel
     factory = null_factory or NullFactory()
     round_scheduler, owns_scheduler = resolve_scheduler(scheduler, workers)
     if budget is not None:
@@ -466,14 +450,12 @@ def oblivious_chase(
     scheduler: SchedulerSpec = None,
     workers: Optional[int] = None,
     planner: str = "heuristic",
-    kernel: str = "tuple",
     budget: Optional[Budget] = None,
 ) -> ChaseResult:
     """The oblivious chase: every distinct body homomorphism fires."""
     return run_chase(
         database, rules, ChaseVariant.OBLIVIOUS, max_steps,
-        scheduler=scheduler, workers=workers, planner=planner,
-        kernel=kernel, budget=budget,
+        scheduler=scheduler, workers=workers, planner=planner, budget=budget,
     )
 
 
@@ -484,15 +466,13 @@ def semi_oblivious_chase(
     scheduler: SchedulerSpec = None,
     workers: Optional[int] = None,
     planner: str = "heuristic",
-    kernel: str = "tuple",
     budget: Optional[Budget] = None,
 ) -> ChaseResult:
     """The semi-oblivious chase: homomorphisms agreeing on the frontier
     are indistinguishable."""
     return run_chase(
         database, rules, ChaseVariant.SEMI_OBLIVIOUS, max_steps,
-        scheduler=scheduler, workers=workers, planner=planner,
-        kernel=kernel, budget=budget,
+        scheduler=scheduler, workers=workers, planner=planner, budget=budget,
     )
 
 
@@ -503,13 +483,11 @@ def restricted_chase(
     scheduler: SchedulerSpec = None,
     workers: Optional[int] = None,
     planner: str = "heuristic",
-    kernel: str = "tuple",
     budget: Optional[Budget] = None,
 ) -> ChaseResult:
     """The restricted (standard) chase: fire only when the head is not
     yet satisfied."""
     return run_chase(
         database, rules, ChaseVariant.RESTRICTED, max_steps,
-        scheduler=scheduler, workers=workers, planner=planner,
-        kernel=kernel, budget=budget,
+        scheduler=scheduler, workers=workers, planner=planner, budget=budget,
     )

@@ -119,7 +119,6 @@ class ChaseSession:
         variant: str = ChaseVariant.SEMI_OBLIVIOUS,
         max_steps: int = DEFAULT_MAX_STEPS,
         planner: str = "heuristic",
-        kernel: str = "tuple",
         scheduler: SchedulerSpec = None,
         workers: Optional[int] = None,
         budget: Optional[Budget] = None,
@@ -142,10 +141,6 @@ class ChaseSession:
             )
         if planner not in ("heuristic", "cost"):
             raise ValueError(f"unknown planner policy {planner!r}")
-        from ..query.kernels import KERNELS
-
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}")
         if save is not None and checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be positive, "
@@ -161,7 +156,6 @@ class ChaseSession:
         session._checkpoint_every = checkpoint_every
         instance = Instance(database)
         instance.order_policy = planner
-        instance.kernel = kernel
         session.instance = instance
         session._factory = NullFactory()
         session._steps = []

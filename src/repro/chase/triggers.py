@@ -416,7 +416,7 @@ class RuleExec:
     out of a full match — yielding the trigger's interned id tuple
     directly (compiled to an ``itemgetter`` for the common case)."""
 
-    __slots__ = ("pivot_step", "rest", "nslots", "emit", "emit_slots")
+    __slots__ = ("pivot_step", "rest", "nslots", "emit")
 
     def __init__(self, instance: Instance, rule: TGD, pivot: int,
                  ordered_rest: Tuple[Atom, ...]):
@@ -431,10 +431,6 @@ class RuleExec:
             self.rest = None
         self.nslots = len(env)
         slots = tuple(env[v] for v in rule.body_variables_sorted)
-        # The raw slot tuple alongside the compiled getter: the batch
-        # kernels project columns by slot number rather than reading a
-        # live assignment list.
-        self.emit_slots = slots
         if len(slots) == 1:
             self.emit = _single_emit(slots[0])
         elif slots:

@@ -288,7 +288,7 @@ def _cmd_chase(args) -> int:
     with _sigint_cancels(budget):
         result = run_chase(
             database, rules, variant, max_steps=max_steps,
-            planner=args.planner, kernel=args.kernel, budget=budget,
+            planner=args.planner, budget=budget,
             save=args.save, overwrite=args.overwrite,
             checkpoint_every=args.checkpoint_every,
             **_scheduler_args(args),
@@ -325,21 +325,18 @@ def _query_over_store(args, budget) -> int:
         )
     if query.is_boolean():
         holds = query.holds_in(
-            instance, policy=args.planner,
-            kernel=args.kernel, budget=budget,
+            instance, policy=args.planner, budget=budget,
         )
         print("true" if holds else "false")
         return 0
     name = query.name
     if args.certain:
         answers = query.certain_answers(
-            instance, policy=args.planner,
-            kernel=args.kernel, budget=budget,
+            instance, policy=args.planner, budget=budget,
         )
     else:
         answers = query.answers(
-            instance, policy=args.planner,
-            kernel=args.kernel, budget=budget,
+            instance, policy=args.planner, budget=budget,
         )
     count = 0
     for answer in answers:
@@ -372,7 +369,7 @@ def _cmd_query(args) -> int:
     with _sigint_cancels(budget):
         result = run_chase(
             database, rules, variant, max_steps=args.max_steps,
-            planner=args.planner, kernel=args.kernel, budget=budget,
+            planner=args.planner, budget=budget,
             **_scheduler_args(args),
         )
         _chase_summary(variant, result)
@@ -385,8 +382,7 @@ def _cmd_query(args) -> int:
         exit_code = EXIT_CODES.get(result.stop_reason, 1)
         if query.is_boolean():
             holds = query.holds_in(
-                result.instance, policy=args.planner,
-                kernel=args.kernel, budget=budget,
+                result.instance, policy=args.planner, budget=budget,
             )
             print("true" if holds else "false")
             return exit_code
@@ -394,13 +390,11 @@ def _cmd_query(args) -> int:
         name = query.name
         if args.certain:
             answers = query.certain_answers(
-                result.instance, policy=args.planner,
-                kernel=args.kernel, budget=budget,
+                result.instance, policy=args.planner, budget=budget,
             )
         else:
             answers = query.answers(
-                result.instance, policy=args.planner,
-                kernel=args.kernel, budget=budget,
+                result.instance, policy=args.planner, budget=budget,
             )
         count = 0
         for answer in answers:
@@ -513,7 +507,6 @@ def _cmd_serve(args) -> int:
     )
     service = ChaseService(
         request_timeout_s=args.request_timeout, admission=admission,
-        default_kernel=args.kernel,
     )
     session = None
     if args.db is not None:
@@ -559,7 +552,7 @@ def _cmd_serve(args) -> int:
         with _sigint_cancels(budget):
             session = ChaseSession.start(
                 database, rules, variant=variant, max_steps=max_steps,
-                planner=args.planner, kernel=args.kernel, budget=budget,
+                planner=args.planner, budget=budget,
                 save=args.save, overwrite=args.overwrite,
                 **_scheduler_args(args),
             )
@@ -599,19 +592,6 @@ def _add_planner_flag(
         help="join-order policy (repro.query.planner); 'cost' plans "
              "from columnar statistics, 'heuristic' is the fixed "
              f"syntactic ordering (default: {default})")
-
-
-def _add_kernel_flag(
-    parser: argparse.ArgumentParser, default: str = "tuple"
-) -> None:
-    parser.add_argument(
-        "--kernel", choices=("tuple", "vector", "wcoj", "auto"),
-        default=default,
-        help="join execution tier (repro.query.kernels): 'tuple' is "
-             "one-binding-at-a-time, 'vector' runs columnar batch "
-             "hash joins, 'wcoj' the leapfrog worst-case-optimal "
-             "join, 'auto' picks per query/round from the statistics "
-             f"(default: {default})")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -685,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "advancing the on-disk checkpoint")
     _add_scheduler_flags(chase)
     _add_planner_flag(chase, default="heuristic")
-    _add_kernel_flag(chase)
     _add_budget_flags(chase)
     chase.set_defaults(func=_cmd_chase)
 
@@ -707,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--max-steps", type=int, default=10_000)
     _add_scheduler_flags(query)
     _add_planner_flag(query, default="cost")
-    _add_kernel_flag(query)
     _add_budget_flags(query)
     query.set_defaults(func=_cmd_query)
 
@@ -774,7 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --save, replace an existing store")
     _add_scheduler_flags(serve)
     _add_planner_flag(serve, default="cost")
-    _add_kernel_flag(serve)
     _add_budget_flags(serve)
     serve.set_defaults(func=_cmd_serve)
     return parser

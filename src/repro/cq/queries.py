@@ -102,20 +102,14 @@ class ConjunctiveQuery:
         """True iff the query has no answer variables."""
         return not self.answer_variables
 
-    def compiled(
-        self, policy: str = "cost", kernel: str = "tuple"
-    ) -> CompiledQuery:
-        """The (cached) int-native compiled form under ``policy`` and
-        execution ``kernel`` (see
-        :data:`repro.query.kernels.KERNELS`)."""
-        key = (policy, kernel)
-        compiled = self._compiled.get(key)
+    def compiled(self, policy: str = "cost") -> CompiledQuery:
+        """The (cached) int-native compiled form under ``policy``."""
+        compiled = self._compiled.get(policy)
         if compiled is None:
             compiled = CompiledQuery(
-                self.answer_variables, self.atoms,
-                policy=policy, kernel=kernel,
+                self.answer_variables, self.atoms, policy=policy
             )
-            self._compiled[key] = compiled
+            self._compiled[policy] = compiled
         return compiled
 
     # -- evaluation -----------------------------------------------------
@@ -124,18 +118,16 @@ class ConjunctiveQuery:
         self,
         instance: Instance,
         policy: str = "cost",
-        kernel: str = "tuple",
         budget=None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Naive answers: one tuple per homomorphism image,
         deduplicated in id space (only yielded answers materialize)."""
-        return self.compiled(policy, kernel).answers(instance, budget=budget)
+        return self.compiled(policy).answers(instance, budget=budget)
 
     def certain_answers(
         self,
         instance: Instance,
         policy: str = "cost",
-        kernel: str = "tuple",
         budget=None,
     ) -> List[Tuple[Term, ...]]:
         """Null-free answers, sorted for determinism.
@@ -143,7 +135,7 @@ class ConjunctiveQuery:
         When ``instance`` is a universal model of (D, Σ), these are the
         certain answers of the query under Σ.
         """
-        return self.compiled(policy, kernel).certain_answers(
+        return self.compiled(policy).certain_answers(
             instance, budget=budget
         )
 
@@ -151,8 +143,7 @@ class ConjunctiveQuery:
         self,
         instance: Instance,
         policy: str = "cost",
-        kernel: str = "tuple",
         budget=None,
     ) -> bool:
         """Boolean evaluation: does any match exist?"""
-        return self.compiled(policy, kernel).holds_in(instance, budget=budget)
+        return self.compiled(policy).holds_in(instance, budget=budget)

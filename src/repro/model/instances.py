@@ -79,7 +79,6 @@ class Instance:
         "_store",
         "_atoms",
         "order_policy",
-        "kernel",
         "_domain_cache",
         "_constants_cache",
         "_nulls_cache",
@@ -114,12 +113,6 @@ class Instance:
         # and head-probe plans ("heuristic" preserves the canonical
         # fair order; "cost" plans from the store's statistics).
         self.order_policy: str = "heuristic"
-        # Execution-kernel policy consulted by the chase engines'
-        # trigger discovery ("tuple" is the original one-binding-at-a-
-        # time executor; "vector"/"auto" let fat rounds run the batch
-        # kernels of repro.query.kernels — results are byte-identical
-        # either way, the batch join is order-exact).
-        self.kernel: str = "tuple"
         # Size-validated decode caches over the store's domain.
         self._domain_cache: Optional[FrozenSet[Term]] = None
         self._constants_cache: Optional[Tuple[int, FrozenSet[Constant]]] = None
@@ -148,7 +141,6 @@ class Instance:
             self._store = facts._store.clone()
             self._atoms = dict(facts._atoms)
             self.order_policy = facts.order_policy
-            self.kernel = facts.kernel
             return
         for fact in facts:
             self.add(fact)
@@ -585,7 +577,6 @@ class SnapshotInstance(Instance):
         # done by one side benefits the other.
         self._atoms = base._atoms
         self.order_policy = base.order_policy
-        self.kernel = base.kernel
 
     @property
     def watermark(self) -> int:
@@ -614,7 +605,6 @@ class SnapshotInstance(Instance):
         the facts below the watermark."""
         out = Instance(store=self._store.clone())
         out.order_policy = self.order_policy
-        out.kernel = self.kernel
         return out
 
     def save(self, path: str, overwrite: bool = False):

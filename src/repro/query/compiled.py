@@ -30,7 +30,14 @@ even when the match was a duplicate about to be dropped.
 * resolved plans are cached per ``(query, fact-count bucket)``: the
   planner replans only when the instance's statistics have shifted a
   power-of-two bucket, so repeated evaluation over a growing chase
-  result is two dict hits in the steady state.
+  result is two dict hits in the steady state;
+* **the execution tier is chosen per resolved plan**, never by the
+  caller: :func:`repro.query.kernels.choose_kernel` estimates the
+  tuple engine's join work from the same statistics the planner
+  ordered by, and fat multi-atom joins run on the vector kernel
+  (columnar batch hash joins, order-exact — answer sequences are
+  byte-identical to the tuple engine's) while lookups and
+  constant-selective joins stay tuple-at-a-time.
 
 The object-level :func:`repro.model.homomorphisms` surface stays
 untouched — it is the public compatibility API and the differential-
@@ -90,14 +97,10 @@ class CompiledQuery:
     :data:`repro.query.planner.ORDER_POLICIES`); both policies yield
     the same answer *sets*, in possibly different orders.
 
-    ``kernel`` selects the execution tier (see
-    :data:`repro.query.kernels.KERNELS`): ``"tuple"`` is the original
-    tuple-at-a-time executor and the default; ``"vector"`` evaluates
-    the same plan as columnar batch hash joins (order-exact — answers
-    come back byte-identical, sequence included); ``"wcoj"`` runs the
-    leapfrog worst-case-optimal multiway join (set-identical answers,
-    enumerated in trie order); ``"auto"`` picks per instance from the
-    join graph's shape and the columnar statistics.
+    Each resolved plan runs on the tier
+    :func:`~repro.query.kernels.choose_kernel` picks for it: the
+    tuple-at-a-time executor, or the vector kernel's columnar batch
+    hash joins.  Both return the same answers in the same order.
 
     Instances are stateless with respect to any particular
     :class:`~repro.model.instances.Instance` — resolved plans live in
@@ -113,24 +116,17 @@ class CompiledQuery:
     tests and tuning, never results.
     """
 
-    __slots__ = ("answer_variables", "atoms", "policy", "kernel", "stats")
+    __slots__ = ("answer_variables", "atoms", "policy", "stats")
 
     def __init__(
         self,
         answer_variables: Sequence[Variable],
         atoms: Sequence[Atom],
         policy: str = "cost",
-        kernel: str = "tuple",
     ):
         self.answer_variables: Tuple[Variable, ...] = tuple(answer_variables)
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
         self.policy = policy
-        if kernel not in _kernels.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of "
-                f"{_kernels.KERNELS}"
-            )
-        self.kernel = kernel
         if not self.atoms:
             raise ValueError("a compiled query needs at least one atom")
         body_vars = set()
@@ -150,16 +146,13 @@ class CompiledQuery:
     def __repr__(self) -> str:
         head = ", ".join(v.name for v in self.answer_variables)
         body = ", ".join(str(a) for a in self.atoms)
-        return (
-            f"CompiledQuery(({head}) :- {body}, policy={self.policy}, "
-            f"kernel={self.kernel})"
-        )
+        return f"CompiledQuery(({head}) :- {body}, policy={self.policy})"
 
     # -- plan resolution ----------------------------------------------------
 
     def _resolved(self, instance: Instance):
-        """``(prefix, suffix, project, slots, full)`` for ``instance``
-        at its current growth bucket.
+        """``(prefix, suffix, project, slots, full, vector)`` for
+        ``instance`` at its current growth bucket.
 
         The planner-ordered body is resolved into one shared slot
         space and split at the first step binding every answer
@@ -169,8 +162,11 @@ class CompiledQuery:
         and ``project`` reads the answer id tuple off the live slot
         list.  Both execs share the full slot space, so a prefix
         match's slot list seeds the suffix probe directly.  ``slots``
-        is the answer variables' slot tuple and ``full`` the unsplit
-        plan — what the batch kernels consume.
+        is the answer variables' slot tuple, ``full`` the unsplit plan
+        (what the vector kernel consumes), and ``vector`` whether
+        :func:`~repro.query.kernels.choose_kernel` sends this plan to
+        the vector kernel — picked once per plan, from the statistics
+        it was ordered by.
         """
         cache = instance._plans
         key = (
@@ -215,29 +211,14 @@ class CompiledQuery:
             else:
                 prefix = PlanExec(steps[:split], env)
                 suffix = PlanExec(steps[split:], env)
-            entry = (prefix, suffix, project, slots, exec_)
+            vector = _kernels.choose_kernel(ordered, instance) == "vector"
+            entry = (prefix, suffix, project, slots, exec_, vector)
             if len(cache) >= _RESOLVE_CACHE_CAP:
                 cache.clear()
             cache[key] = entry
         else:
             self.stats["plan_hits"] += 1
         return entry
-
-    def _effective_kernel(self, instance: Instance) -> str:
-        """Resolve ``"auto"`` to a concrete kernel for ``instance``
-        (cached per growth bucket — the pick is a statistics read)."""
-        kernel = self.kernel
-        if kernel != "auto":
-            return kernel
-        cache = instance._plans
-        key = ("kern", self.atoms, len(instance).bit_length())
-        pick = cache.get(key)
-        if pick is None:
-            pick = _kernels.choose_kernel(self.atoms, instance)
-            if len(cache) >= _RESOLVE_CACHE_CAP:
-                cache.clear()
-            cache[key] = pick
-        return pick
 
     def _unsatisfiable(self, instance: Instance, steps) -> bool:
         """Early-out (carried PR 5 follow-up): True when some step of
@@ -274,20 +255,12 @@ class CompiledQuery:
         """Every body match, projected to the answer variables' term
         ids — *not* deduplicated and with no pushdown (consumers doing
         their own keying, e.g. the universality check, dedup on a
-        coarser projection and need every match).
-
-        Under ``kernel="vector"`` the same sequence comes back from the
-        batch pipeline (order-exact); ``"wcoj"`` yields the same
-        multiset in trie order."""
-        _, _, project, slots, exec_ = self._resolved(instance)
+        coarser projection and need every match)."""
+        _, _, project, slots, exec_, vector = self._resolved(instance)
         if self._unsatisfiable(instance, exec_.steps):
             return
-        kernel = self._effective_kernel(instance)
-        if kernel == "vector":
+        if vector:
             yield from _kernels.run_batch(exec_, instance, slots, budget)
-            return
-        if kernel == "wcoj":
-            yield from _kernels.run_wcoj(exec_, instance, slots, budget)
             return
         assign = exec_.fresh_assign()
         seen = 0
@@ -311,13 +284,12 @@ class CompiledQuery:
         :class:`~repro.errors.BudgetExceededError` — already-yielded
         answers are valid (evaluation is read-only, enumeration just
         stops early)."""
-        prefix, suffix, project, slots, full = self._resolved(instance)
+        prefix, suffix, project, slots, full, vector = self._resolved(
+            instance
+        )
         if self._unsatisfiable(instance, full.steps):
             return
-        kernel = self._effective_kernel(instance)
-        seen: Set[Tuple[int, ...]] = set()
-        add = seen.add
-        if kernel == "vector":
+        if vector:
             # Batch enumeration is order-exact, so first-seen dedup of
             # the batch equals the pushdown path byte-for-byte — and
             # run_batch_unique performs it at array speed.
@@ -325,12 +297,8 @@ class CompiledQuery:
                 full, instance, slots, budget
             )
             return
-        if kernel == "wcoj":
-            for ids in _kernels.run_wcoj(full, instance, slots, budget):
-                if ids not in seen:
-                    add(ids)
-                    yield ids
-            return
+        seen: Set[Tuple[int, ...]] = set()
+        add = seen.add
         assign = prefix.fresh_assign()
         matches = 0
         if suffix is None:
@@ -380,26 +348,18 @@ class CompiledQuery:
         projections are dropped *before* the residual-join probe (a
         null answer can never become certain).
         """
-        prefix, suffix, project, slots, full = self._resolved(instance)
+        prefix, suffix, project, slots, full, vector = self._resolved(
+            instance
+        )
         if self._unsatisfiable(instance, full.steps):
             return
         kinds = self._null_kinds(instance)
         obj = instance.symbols.obj
-        kernel = self._effective_kernel(instance)
-        if kernel in ("vector", "wcoj"):
-            if kernel == "vector":
-                # Already first-seen-deduplicated at array speed.
-                projected = _kernels.run_batch_unique(
-                    full, instance, slots, budget
-                )
-            else:
-                projected = _kernels.run_wcoj(full, instance, slots, budget)
-            batch_seen: Set[Tuple[int, ...]] = set()
-            batch_add = batch_seen.add
-            for ids in projected:
-                if ids in batch_seen:
-                    continue
-                batch_add(ids)
+        if vector:
+            # Already first-seen-deduplicated at array speed.
+            for ids in _kernels.run_batch_unique(
+                full, instance, slots, budget
+            ):
                 certain = True
                 for tid in ids:
                     kind = kinds.get(tid)
@@ -459,14 +419,13 @@ class CompiledQuery:
 
     def holds_in(self, instance: Instance, budget=None) -> bool:
         """Boolean evaluation: does any body match exist?"""
-        prefix, suffix, project, slots, full = self._resolved(instance)
+        prefix, suffix, project, slots, full, vector = self._resolved(
+            instance
+        )
         if self._unsatisfiable(instance, full.steps):
             return False
-        kernel = self._effective_kernel(instance)
-        if kernel == "vector":
+        if vector:
             return _kernels.batch_exists(full, instance, budget)
-        if kernel == "wcoj":
-            return _kernels.wcoj_exists(full, instance, budget)
         assign = prefix.fresh_assign()
         if suffix is None:
             return prefix.first(instance, assign)

@@ -1,52 +1,33 @@
-"""Batch execution kernels: vectorized hash joins and a worst-case-
-optimal (leapfrog) multiway join over the interned int columns.
+"""The batch execution tier: vectorized hash joins over the interned
+int columns.
 
 The tuple-at-a-time executor (:class:`repro.model.joinplan.PlanExec`)
 pays a Python-level loop iteration per candidate row per join level.
-This module adds the next speed tier (ROADMAP item 3): evaluate a
-resolved step sequence as **columnar batch operations** — materialize
-each relation once as a dense int matrix, filter constants and
-repeated-variable positions with vectorized masks, and join whole
-column arrays at a time with a sort-based vectorized hash join
-(joint factorization + ``searchsorted`` range expansion).  NumPy is an
-*optional* dependency: every kernel has a pure-Python batch fallback
-(dict-based hash joins over the same column layout), selected
-automatically when NumPy is missing or the ``REPRO_NO_NUMPY``
-environment variable is set, and proven answer-identical by the
-property suite.
+This module is the second tier: evaluate a resolved step sequence as
+**columnar batch operations** — materialize each relation once as a
+dense int matrix, filter constants and repeated-variable positions
+with vectorized masks, and join whole column arrays at a time with a
+sort-based vectorized hash join (joint factorization +
+``searchsorted`` range expansion).  NumPy is an *optional* dependency:
+the pipeline has a pure-Python batch twin (dict-based hash joins over
+the same column layout), selected automatically when NumPy is missing
+or the ``REPRO_NO_NUMPY`` environment variable is set, and proven
+answer-identical by the property suite.
 
-Two kernels live here:
+The join is *order-exact*: for each intermediate tuple (in order),
+matching candidate rows are emitted in relation insertion order, which
+is precisely the depth-first enumeration order of ``PlanExec.run``.
+Batch results are therefore byte-identical, sequence included, to the
+tuple engine (``tests/test_kernels.py`` holds it to order-exactness,
+not just set equality), so switching tiers never changes an answer
+sequence.
 
-* **vector** (:func:`run_batch`) — pipelined hash joins following the
-  planner's step order.  The join is *order-exact*: for each
-  intermediate tuple (in order), matching candidate rows are emitted
-  in relation insertion order, which is precisely the depth-first
-  enumeration order of ``PlanExec.run``.  Batch results are therefore
-  byte-identical, sequence included, to the tuple engine — the chase
-  engines can swap it in for fat rounds without perturbing null
-  naming, trigger keys, or fingerprints (``tests/test_kernels.py``
-  holds it to order-exactness, not just set equality).
-
-* **wcoj** (:func:`run_wcoj`) — a leapfrog-triejoin-style worst-case-
-  optimal join for **cyclic** CQs, where every binary join plan is
-  provably suboptimal (the AGM bound; Ngo–Porat–Ré–Rudra, Veldhuizen's
-  LeapFrog TrieJoin).  Each atom's candidate rows are projected to its
-  variables in one global variable order and sorted lexicographically
-  (a flattened trie); evaluation intersects the per-variable sorted
-  runs by leapfrogging ``searchsorted`` seeks, so a triangle query
-  never materializes the quadratic binary intermediate.  Output order
-  is the leapfrog order (sorted by term id along the variable order),
-  *not* the tuple engine's — consumers get set-identical answers.
-
-Kernel selection (``"auto"``) is cost-based from the columnar
-statistics: cyclic join graphs (GYO reduction leaves a residue) pick
-``wcoj``; fat multi-atom joins pick ``vector``; everything else stays
-on the tuple engine, whose per-call overhead is unbeatable for small
-inputs.  :class:`repro.query.compiled.CompiledQuery` and the chase's
-delta discovery (:mod:`repro.chase.delta`) both route through here —
-see ``kernel=`` on :class:`~repro.query.compiled.CompiledQuery`,
-``--kernel`` on the CLI, and the fat-round gate in
-:func:`repro.chase.delta.delta_triggers`.
+There is no user-facing tier option.
+:class:`repro.query.compiled.CompiledQuery` asks :func:`choose_kernel`
+once per resolved plan: joins whose estimated tuple-engine work is
+small stay on the tuple engine, whose per-call overhead is unbeatable
+there; fat multi-atom joins go vector.  The chase's trigger discovery
+always runs the tuple loop.
 
 Candidate matrices are cached per ``(pred, row-count, filter)`` in the
 instance's plan cache: rows are append-only, so a matrix is valid as
@@ -58,19 +39,16 @@ long as the relation has not grown, and snapshot-bounded accessors
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..model.atoms import Atom
 from ..model.instances import Instance
 from ..model.joinplan import _RESOLVE_CACHE_CAP, PlanExec, ResolvedStep
+from .planner import estimate_extension
 
-#: The closed kernel vocabulary accepted by ``CompiledQuery(kernel=)``,
-#: the CLI's ``--kernel`` flag, and the serve API.
-KERNELS = ("tuple", "vector", "wcoj", "auto")
-
-#: ``auto`` picks the vector kernel only when the conjunction's
-#: relations hold at least this many rows in total — below it the
-#: tuple engine's lower per-call overhead wins.
+#: A join goes to the vector kernel once the tuple engine's estimated
+#: work reaches this many intermediate tuples — below it the tuple
+#: engine's lower per-call overhead wins.
 AUTO_VECTOR_MIN_ROWS = 2048
 
 #: Joint key codes are re-factorized before a combine could overflow
@@ -88,74 +66,33 @@ else:  # pragma: no branch
 
 def numpy_active() -> bool:
     """True iff the vectorized (NumPy) paths are in use; False means
-    every kernel runs its pure-Python batch fallback."""
+    the vector kernel runs its pure-Python batch twin."""
     return _np is not None
 
 
-# -- join-graph shape -------------------------------------------------------
+def choose_kernel(ordered: Sequence[Atom], instance: Instance) -> str:
+    """The tier for one conjunction over one instance, given in the
+    join order the tuple engine would run it: ``"vector"`` or
+    ``"tuple"``.
 
-
-def is_cyclic(atoms: Sequence[Atom]) -> bool:
-    """True iff the conjunction's join graph is cyclic (not
-    α-acyclic), decided by GYO ear removal.
-
-    Hyperedges are the atoms' variable sets.  Repeatedly (a) drop
-    variables occurring in exactly one edge and (b) drop edges
-    contained in another edge; the query is acyclic iff the reduction
-    empties the edge set.  Cyclic CQs (triangles and denser) are where
-    binary join plans are provably suboptimal and ``auto`` selects the
-    worst-case-optimal kernel.
-    """
-    edges: List[Set] = []
-    for atom in atoms:
-        vars_ = set(atom.variables())
-        if vars_:
-            edges.append(vars_)
-    changed = True
-    while changed and edges:
-        changed = False
-        counts: Dict = {}
-        for edge in edges:
-            for var in edge:
-                counts[var] = counts.get(var, 0) + 1
-        for edge in edges:
-            lone = {v for v in edge if counts[v] == 1}
-            if lone:
-                edge -= lone
-                changed = True
-        kept: List[Set] = []
-        for i, edge in enumerate(edges):
-            if not edge:
-                changed = True
-                continue
-            absorbed = False
-            for j, other in enumerate(edges):
-                if i == j or not other:
-                    continue
-                if edge < other or (edge == other and j < i):
-                    absorbed = True
-                    break
-            if absorbed:
-                changed = True
-                continue
-            kept.append(edge)
-        edges = kept
-    return bool(edges)
-
-
-def choose_kernel(atoms: Sequence[Atom], instance: Instance) -> str:
-    """The cost-based ``auto`` pick for one conjunction over one
-    instance: ``wcoj`` for cyclic join graphs with at least three
-    atoms, ``vector`` for fat multi-atom joins (total candidate rows
-    at or above :data:`AUTO_VECTOR_MIN_ROWS`), ``tuple`` otherwise."""
-    if len(atoms) >= 3 and is_cyclic(atoms):
-        return "wcoj"
-    if len(atoms) >= 2:
-        total = 0
-        for atom in atoms:
-            total += instance.count_with_predicate(atom.predicate)
-        if total >= AUTO_VECTOR_MIN_ROWS:
+    The tuple engine's work is estimated as the number of intermediate
+    tuples it enumerates — the sum, over the join levels, of the
+    cumulative product of :func:`repro.query.planner.estimate_extension`
+    along ``ordered``.  Multi-atom joins whose estimate reaches
+    :data:`AUTO_VECTOR_MIN_ROWS` go vector; single-atom lookups and
+    constant-selective joins (a small posting list drives every later
+    level) stay on the tuple engine."""
+    if len(ordered) < 2:
+        return "tuple"
+    bound = frozenset()
+    width = 1.0
+    work = 0.0
+    for atom in ordered:
+        width *= estimate_extension(instance, atom, bound)
+        work += width
+        if work >= AUTO_VECTOR_MIN_ROWS:
             return "vector"
+        bound |= atom.variables()
     return "tuple"
 
 
@@ -465,20 +402,16 @@ class _BatchPy:
         return list(zip(*columns))
 
 
-def _fresh_batch(seed_cols: Optional[Dict[int, Sequence[int]]] = None,
-                 m: int = 1):
-    """An empty (or seeded) batch on whichever engine is active."""
-    if _np is not None:
-        cols = {}
-        if seed_cols:
-            for slot, values in seed_cols.items():
-                cols[slot] = _np.asarray(values, dtype=_np.int64)
-        return _BatchNp(cols, m)
-    cols_py: Dict[int, List[int]] = {}
-    if seed_cols:
-        for slot, values in seed_cols.items():
-            cols_py[slot] = list(values)
-    return _BatchPy(cols_py, m)
+def _joined(exec_: PlanExec, instance: Instance, budget):
+    """Run ``exec_``'s step sequence as a batch pipeline on whichever
+    engine is active; None once the batch runs empty."""
+    batch = _BatchNp({}, 1) if _np is not None else _BatchPy({}, 1)
+    for step in exec_.steps:
+        if budget is not None:
+            budget.raise_if_exceeded()
+        if not batch.apply(instance, step):
+            return None
+    return batch
 
 
 def run_batch(
@@ -490,14 +423,10 @@ def run_batch(
     """Evaluate ``exec_``'s step sequence as a batched hash-join
     pipeline and return every full match projected to ``answer_slots``
     — **not** deduplicated, in exactly the order ``exec_.run`` would
-    enumerate (order-exactness is what lets the chase engines use this
-    kernel without perturbing results)."""
-    batch = _fresh_batch()
-    for step in exec_.steps:
-        if budget is not None:
-            budget.raise_if_exceeded()
-        if not batch.apply(instance, step):
-            return []
+    enumerate."""
+    batch = _joined(exec_, instance, budget)
+    if batch is None:
+        return []
     return batch.project(tuple(answer_slots))
 
 
@@ -533,18 +462,13 @@ def run_batch_unique(
     first-seen order — byte-identical to deduplicating the tuple
     engine's enumeration (order-exactness again), but the dedup runs
     at array speed instead of one Python set probe per match."""
-    batch = _fresh_batch()
-    for step in exec_.steps:
-        if budget is not None:
-            budget.raise_if_exceeded()
-        if not batch.apply(instance, step):
-            return []
-    slots = tuple(answer_slots)
-    if batch.m == 0:
+    batch = _joined(exec_, instance, budget)
+    if batch is None:
         return []
+    slots = tuple(answer_slots)
     if not slots:
         return [()]
-    if _np is not None and isinstance(batch, _BatchNp):
+    if isinstance(batch, _BatchNp):
         np = _np
         cols = [batch.cols[s] for s in slots]
         codes = _row_codes_np(cols)
@@ -565,315 +489,4 @@ def run_batch_unique(
 def batch_exists(exec_: PlanExec, instance: Instance, budget=None) -> bool:
     """Boolean evaluation on the vector kernel: does any full match
     exist?"""
-    batch = _fresh_batch()
-    for step in exec_.steps:
-        if budget is not None:
-            budget.raise_if_exceeded()
-        if not batch.apply(instance, step):
-            return False
-    return batch.m > 0
-
-
-def batch_rule_matches(
-    instance: Instance,
-    pivot_step: ResolvedStep,
-    rest: Optional[PlanExec],
-    pivot_rows: Sequence[Tuple[int, ...]],
-    emit_slots: Sequence[int],
-    budget=None,
-) -> List[Tuple[int, ...]]:
-    """The chase-discovery entry point: match ``pivot_rows`` against
-    ``pivot_step``, join the rest-of-body steps in batch, and project
-    each full match to ``emit_slots`` (the rule's sorted body
-    variables) — in exactly the order the serial pivot-seeded loop
-    yields them, so fat-round vectorized discovery is byte-identical
-    to tuple-at-a-time discovery."""
-    if not pivot_rows:
-        return []
-    # Seed: verify the pivot atom's constants and repeated variables
-    # against each candidate row (the frontier hands in arbitrary rows
-    # of the pivot's relation, in arrival order).
-    const_checks = pivot_step.const_checks
-    groups = pivot_step.groups
-    if _np is not None:
-        from itertools import chain
-
-        arity = len(pivot_step.build)
-        n = len(pivot_rows)
-        mat = _np.fromiter(
-            chain.from_iterable(pivot_rows),
-            dtype=_np.int64,
-            count=n * arity,
-        ).reshape(n, arity)
-        mask = None
-        for pos, tid in const_checks:
-            cond = mat[:, pos] == tid
-            mask = cond if mask is None else (mask & cond)
-        for _, p0, rest_pos in groups:
-            for p in rest_pos:
-                cond = mat[:, p] == mat[:, p0]
-                mask = cond if mask is None else (mask & cond)
-        if mask is not None:
-            mat = mat[mask]
-        if len(mat) == 0:
-            return []
-        seed = {slot: mat[:, p0] for slot, p0, _ in groups}
-        batch = _BatchNp(dict(seed), len(mat))
-    else:
-        kept: List[Tuple[int, ...]] = []
-        for row in pivot_rows:
-            ok = True
-            for pos, tid in const_checks:
-                if row[pos] != tid:
-                    ok = False
-                    break
-            if ok:
-                for _, p0, rest_pos in groups:
-                    value = row[p0]
-                    for p in rest_pos:
-                        if row[p] != value:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                kept.append(row)
-        if not kept:
-            return []
-        batch = _BatchPy(
-            {slot: [row[p0] for row in kept] for slot, p0, _ in groups},
-            len(kept),
-        )
-    if rest is not None:
-        for step in rest.steps:
-            if budget is not None:
-                budget.raise_if_exceeded()
-            if not batch.apply(instance, step):
-                return []
-    return batch.project(tuple(emit_slots))
-
-
-# -- the worst-case-optimal (leapfrog) kernel -------------------------------
-
-
-class _TrieNp:
-    """One atom's flattened trie (NumPy path): candidate rows
-    projected to the atom's variable slots in global order, sorted
-    lexicographically and deduplicated.  ``cols[c]`` is the c-th
-    projected column; windows on it are sorted once the first ``c``
-    columns are fixed."""
-
-    __slots__ = ("slots", "cols", "lists", "size")
-
-    def __init__(self, instance: Instance, step: ResolvedStep,
-                 global_order: Sequence[int]):
-        np = _np
-        rank = {slot: i for i, slot in enumerate(global_order)}
-        ordered = sorted(
-            ((slot, p0) for slot, p0, _ in step.groups),
-            key=lambda pair: rank[pair[0]],
-        )
-        self.slots = tuple(slot for slot, _ in ordered)
-        cand = _candidates_np(instance, step)
-        if not ordered:
-            # All-constant atom: a zero-column trie whose emptiness is
-            # the existence verdict.
-            self.cols = ()
-            self.lists = ()
-            self.size = len(cand)
-            return
-        proj = cand[:, [p0 for _, p0 in ordered]]
-        if len(proj):
-            keys = tuple(proj[:, c] for c in range(proj.shape[1] - 1, -1, -1))
-            proj = proj[np.lexsort(keys)]
-            if len(proj) > 1:
-                distinct = np.any(proj[1:] != proj[:-1], axis=1)
-                keep = np.empty(len(proj), dtype=bool)
-                keep[0] = True
-                keep[1:] = distinct
-                proj = proj[keep]
-        self.cols = tuple(
-            np.ascontiguousarray(proj[:, c]) for c in range(proj.shape[1])
-        )
-        # Python-int mirrors: ``at`` runs once per leapfrog probe, and
-        # a list index is ~10x cheaper than a NumPy scalar conversion.
-        self.lists = tuple(col.tolist() for col in self.cols)
-        self.size = len(proj)
-
-    def seek(self, lo: int, hi: int, depth: int, value: int) -> int:
-        """The first position in ``[lo, hi)`` whose ``depth``-th column
-        is at least ``value``."""
-        col = self.cols[depth]
-        return lo + int(_np.searchsorted(col[lo:hi], value, side="left"))
-
-    def at(self, pos: int, depth: int) -> int:
-        return self.lists[depth][pos]
-
-
-class _TriePy:
-    """The pure-Python twin of :class:`_TrieNp` (bisect over sorted
-    deduplicated projection tuples)."""
-
-    __slots__ = ("slots", "rows", "size")
-
-    def __init__(self, instance: Instance, step: ResolvedStep,
-                 global_order: Sequence[int]):
-        rank = {slot: i for i, slot in enumerate(global_order)}
-        ordered = sorted(
-            ((slot, p0) for slot, p0, _ in step.groups),
-            key=lambda pair: rank[pair[0]],
-        )
-        self.slots = tuple(slot for slot, _ in ordered)
-        cand = _candidates_py(instance, step)
-        if not ordered:
-            self.rows: List[Tuple[int, ...]] = []
-            self.size = len(cand)
-            return
-        positions = [p0 for _, p0 in ordered]
-        self.rows = sorted({tuple(row[p] for p in positions) for row in cand})
-        self.size = len(self.rows)
-
-    def seek(self, lo: int, hi: int, depth: int, value: int) -> int:
-        return self._bisect(lo, hi, depth, value, True)
-
-    def at(self, pos: int, depth: int) -> int:
-        return self.rows[pos][depth]
-
-    def _bisect(self, lo: int, hi: int, depth: int, value: int,
-                left: bool) -> int:
-        rows = self.rows
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cell = rows[mid][depth]
-            if cell < value or (not left and cell == value):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-
-#: Budget-check cadence inside the leapfrog recursion (per binding).
-_WCOJ_CHECK_EVERY = 4096
-
-
-def _wcoj_variable_order(steps: Sequence[ResolvedStep]) -> Tuple[int, ...]:
-    """The global slot order: most-shared variables first (they prune
-    hardest), slot number as the deterministic tie-break."""
-    seen_in: Dict[int, int] = {}
-    for step in steps:
-        for slot, _, _ in step.groups:
-            seen_in[slot] = seen_in.get(slot, 0) + 1
-    return tuple(sorted(seen_in, key=lambda slot: (-seen_in[slot], slot)))
-
-
-def _run_wcoj_impl(
-    exec_: PlanExec,
-    instance: Instance,
-    answer_slots: Sequence[int],
-    budget,
-    first_only: bool,
-):
-    steps = exec_.steps
-    order = _wcoj_variable_order(steps)
-    trie_cls = _TrieNp if _np is not None else _TriePy
-    tries = [trie_cls(instance, step, order) for step in steps]
-    for trie in tries:
-        if trie.size == 0:
-            return []
-    depth_parts: List[List[Tuple]] = []
-    for d, slot in enumerate(order):
-        parts = []
-        for trie in tries:
-            if slot in trie.slots:
-                parts.append((trie, trie.slots.index(slot)))
-        depth_parts.append(parts)
-    n_slots = len(order)
-    slot_value: Dict[int, int] = {}
-    out: List[Tuple[int, ...]] = []
-    answer = tuple(answer_slots)
-    counter = [0]
-
-    def recurse(depth: int, windows: Dict[int, Tuple[int, int]]) -> bool:
-        """Returns True to stop the whole search (first_only hit)."""
-        if depth == n_slots:
-            out.append(tuple(slot_value[s] for s in answer))
-            return first_only
-        if budget is not None:
-            counter[0] += 1
-            if not counter[0] % _WCOJ_CHECK_EVERY:
-                budget.raise_if_exceeded()
-        parts = depth_parts[depth]
-        slot = order[depth]
-        # Leapfrog: intersect the participants' sorted runs at their
-        # current column.
-        states = []
-        for trie, col in parts:
-            lo, hi = windows[id(trie)]
-            if lo >= hi:
-                return False
-            states.append([trie, col, lo, hi])
-        while True:
-            # Highest current head value across participants.
-            value = None
-            for state in states:
-                trie, col, lo, hi = state
-                head = trie.at(lo, col)
-                if value is None or head > value:
-                    value = head
-            agreed = True
-            for state in states:
-                trie, col, lo, hi = state
-                pos = trie.seek(lo, hi, col, value)
-                state[2] = pos
-                if pos >= hi:
-                    return False
-                if trie.at(pos, col) != value:
-                    agreed = False
-            if not agreed:
-                continue
-            # All participants carry ``value``: bind, narrow, recurse.
-            # After the agreed seek each window's lo already sits on the
-            # first occurrence of ``value``, so narrowing only needs the
-            # run's upper edge (the first position of ``value + 1``).
-            slot_value[slot] = value
-            narrowed = dict(windows)
-            for state in states:
-                trie, col, lo, hi = state
-                narrowed[id(trie)] = (lo, trie.seek(lo, hi, col, value + 1))
-            if recurse(depth + 1, narrowed):
-                return True
-            # Advance past ``value`` on every participant: the narrowed
-            # window's upper edge is exactly the position past the run.
-            exhausted_after = False
-            for state in states:
-                state[2] = pos = narrowed[id(state[0])][1]
-                if pos >= state[3]:
-                    exhausted_after = True
-            if exhausted_after:
-                return False
-
-    recurse(0, {id(trie): (0, trie.size) for trie in tries})
-    return out
-
-
-def run_wcoj(
-    exec_: PlanExec,
-    instance: Instance,
-    answer_slots: Sequence[int],
-    budget=None,
-) -> List[Tuple[int, ...]]:
-    """Evaluate ``exec_``'s conjunction with the leapfrog worst-case-
-    optimal join and return the matches projected to ``answer_slots``.
-
-    Bindings are enumerated in sorted-term-id order along the global
-    variable order (the trie order), **not** the tuple engine's DFS
-    order, and each distinct full binding is visited exactly once — so
-    the projection may still contain duplicates (two bindings, one
-    projection); callers dedup exactly as they would for the tuple
-    engine."""
-    return _run_wcoj_impl(exec_, instance, answer_slots, budget, False)
-
-
-def wcoj_exists(exec_: PlanExec, instance: Instance, budget=None) -> bool:
-    """Boolean evaluation on the worst-case-optimal kernel."""
-    return bool(_run_wcoj_impl(exec_, instance, (), budget, True))
+    return _joined(exec_, instance, budget) is not None

@@ -11,7 +11,8 @@ path         method  body / effect
 ``/health``  GET     liveness probe (also reports draining state)
 ``/stats``   GET     :meth:`ChaseService.status` — per-resident state
 ``/query``   POST    ``{"query": "...", "certain"?, "resident"?,
-                     "policy"?, "kernel"?, "timeout_s"?}`` → answers
+                     "policy"?, "timeout_s"?}`` → answers; ``certain``
+                     must be a JSON boolean
 ``/entail``  POST    ``{"atom": "p(a, b)", "resident"?, "timeout_s"?}``
                      → ground-atom entailment at the pinned watermark
 ``/facts``   POST    ``{"facts": "...text..." | ["p(a, b)", ...],
@@ -287,13 +288,17 @@ class ChaseServer:
             self._require(method, "POST")
             payload = self._json(body)
             text = self._field(payload, "query")
+            certain = payload.get("certain", False)
+            if not isinstance(certain, bool):
+                # bool("false") is True: coercing would silently flip
+                # the answer semantics.
+                raise _HttpError(400, "'certain' must be true or false")
             out = await self._call(
                 self.service.query,
                 text,
                 resident=payload.get("resident"),
-                certain=bool(payload.get("certain", False)),
+                certain=certain,
                 policy=payload.get("policy", "cost"),
-                kernel=payload.get("kernel"),
                 timeout_s=payload.get("timeout_s"),
             )
             return 200, out

@@ -208,9 +208,7 @@ class ChaseService:
     cancellation token every request budget carries — default a fresh
     one, flipped by :meth:`shutdown`.  ``admission`` is the overload
     gate (a default :class:`~repro.serve.admission.AdmissionController`
-    when omitted).  ``default_kernel`` is the execution tier queries
-    run on when a request names none (see
-    :data:`repro.query.kernels.KERNELS` — the CLI's ``--kernel``).
+    when omitted).
     """
 
     def __init__(
@@ -218,20 +216,12 @@ class ChaseService:
         request_timeout_s: Optional[float] = 30.0,
         cancel: Optional[CancelToken] = None,
         admission=None,
-        default_kernel: str = "tuple",
     ):
         from .admission import AdmissionController
-        from ..query.kernels import KERNELS
 
-        if default_kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {default_kernel!r}; expected one of "
-                f"{KERNELS}"
-            )
         self.request_timeout_s = request_timeout_s
         self.cancel = cancel if cancel is not None else CancelToken()
         self.residents: Dict[str, Resident] = {}
-        self.default_kernel = default_kernel
         self.admission = (
             admission if admission is not None else AdmissionController()
         )
@@ -385,7 +375,6 @@ class ChaseService:
         resident: Optional[str] = None,
         certain: bool = False,
         policy: str = "cost",
-        kernel: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ) -> dict:
         """Answer a conjunctive query over the resident's published
@@ -394,26 +383,14 @@ class ChaseService:
         ``text`` is the CLI query syntax — ``"q(X) :- e(X, Y)"``, or a
         bare conjunction for a boolean query.  ``certain`` filters to
         null-free answers (the certain answers whenever the resident's
-        chase terminated).  ``kernel`` picks the execution tier (see
-        :data:`repro.query.kernels.KERNELS`; default: the service-wide
-        default, normally ``"tuple"``).  Answers render as atom text
-        over the query's answer predicate, exactly like ``repro
-        query``.
+        chase terminated).  Answers render as atom text over the
+        query's answer predicate, exactly like ``repro query``.
         """
-        from ..query.kernels import KERNELS
-
         with self._admitted():
             target = self._resident(resident)
             snapshot = target.snapshot  # pin once: the request's world
             if policy not in ("cost", "heuristic"):
                 raise ServiceError(f"unknown planner policy {policy!r}")
-            if kernel is None:
-                kernel = self.default_kernel
-            if kernel not in KERNELS:
-                raise ServiceError(
-                    f"unknown kernel {kernel!r}; expected one of "
-                    f"{list(KERNELS)}"
-                )
             try:
                 query = parse_query(text)
             except (ReproError, ValueError) as exc:
@@ -431,20 +408,16 @@ class ChaseService:
                 )
             if query.is_boolean():
                 out["boolean"] = query.holds_in(
-                    snapshot, policy=policy, kernel=kernel, budget=budget
+                    snapshot, policy=policy, budget=budget
                 )
             else:
                 if certain:
                     answers = query.certain_answers(
-                        snapshot, policy=policy, kernel=kernel,
-                        budget=budget,
+                        snapshot, policy=policy, budget=budget
                     )
                 else:
                     answers = list(
-                        query.answers(
-                            snapshot, policy=policy, kernel=kernel,
-                            budget=budget,
-                        )
+                        query.answers(snapshot, policy=policy, budget=budget)
                     )
                 name = query.name
                 out["answers"] = [

@@ -1,23 +1,22 @@
-"""The batch execution tier ≡ the tuple engine ≡ the oracle.
+"""The vector tier ≡ the tuple engine ≡ the oracle, and the tier pick.
 
-``repro.query.kernels`` adds two alternative evaluation kernels to the
-compiled-query stack: ``vector`` (NumPy-vectorized hash joins over the
-interned int columns, with a pure-Python twin when NumPy is absent)
-and ``wcoj`` (leapfrog worst-case-optimal multiway intersection).  The
-contract this suite enforces, on randomized chase-grown instances with
-labelled nulls and Skolem terms:
+``repro.query.kernels`` adds the vector kernel (NumPy-vectorized hash
+joins over the interned int columns, with a pure-Python twin when
+NumPy is absent) beside the tuple-at-a-time executor, and
+:class:`~repro.query.compiled.CompiledQuery` picks between the two per
+resolved plan.  The contract this suite enforces, on randomized
+chase-grown instances with labelled nulls and Skolem terms:
 
-* ``vector`` is **order-exact**: its answer *sequence* equals the
-  tuple engine's, byte for byte — which is why the chase engines may
-  route trigger discovery through it without perturbing results.
-* ``wcoj`` is **set-exact**: same answer set, enumeration order is the
-  trie order instead of the DFS order.
-* Both agree with the retained object-level oracle
-  (:func:`repro.model.naive_homomorphisms`).
-* The pure-Python fallback (``_np`` forced to ``None``) is
-  answer-identical to the NumPy path, order included.
-* A chase run under ``kernel="vector"``/``"auto"`` is byte-identical
-  to the default: same fact sequence, same step trigger keys.
+* the vector kernel is **order-exact**: its answer *sequence* equals
+  the tuple engine's, byte for byte, so the pick can never change an
+  answer sequence;
+* both agree with the retained object-level oracle
+  (:func:`repro.model.naive_homomorphisms`);
+* the pure-Python twin (``_np`` forced to ``None``) is
+  answer-identical to the NumPy path, order included;
+* the pick follows the tuple engine's estimated join work: lookups
+  and constant-selective joins stay on the tuple engine, fat joins
+  (chained or cyclic) go vector — with and without NumPy.
 """
 
 import random
@@ -37,18 +36,20 @@ from repro.model import (
     Variable,
     naive_homomorphisms,
 )
-from repro.query import (
-    CompiledQuery,
-    KERNELS,
-    choose_kernel,
-    is_cyclic,
-    numpy_active,
-)
+from repro.model.joinplan import resolve_exec
+from repro.query import CompiledQuery, numpy_active, order_for
 from repro.query import kernels as kernels_module
+from repro.query.kernels import (
+    AUTO_VECTOR_MIN_ROWS,
+    batch_exists,
+    choose_kernel,
+    run_batch,
+    run_batch_unique,
+)
 from repro.termination import skolem_chase
 from tests.conftest import atom
 
-X, Y, Z, W = (Variable(n) for n in ("X", "Y", "Z", "W"))
+X, Y, Z = (Variable(n) for n in ("X", "Y", "Z"))
 
 
 def oracle_answer_set(answer_variables, atoms, instance):
@@ -118,33 +119,82 @@ def _edge_instance(n=40, extra=()):
 TRIANGLE = [atom("e", "X", "Y"), atom("e", "Y", "Z"), atom("e", "Z", "X")]
 
 
+def _tiers(query, instance):
+    """Both tiers run directly on ``query``'s cost-ordered plan:
+    ``(tuple matches, vector matches, vector unique, vector exists)``
+    in id space, the tuple side enumerated by ``PlanExec.run``."""
+    exec_ = resolve_exec(instance, order_for(query.atoms, instance))
+    slots = tuple(exec_.slot_of[v] for v in query.answer_variables)
+    tuple_matches = [
+        tuple(match[s] for s in slots)
+        for match in exec_.run(instance, exec_.fresh_assign())
+    ]
+    return (
+        tuple_matches,
+        run_batch(exec_, instance, slots),
+        run_batch_unique(exec_, instance, slots),
+        batch_exists(exec_, instance),
+    )
+
+
+def _first_seen(items):
+    return list(dict.fromkeys(items))
+
+
+def _on_each_tier(force, instance, queries, evaluate):
+    """``evaluate(query, inst)`` for every query with all plans forced
+    onto the tuple tier, asserted equal to the same with all plans
+    forced onto the vector tier; returns the tuple tier's results."""
+    results = {}
+    for tier in ("tuple", "vector"):
+        force(tier)
+        # A fresh copy per tier: the pick is cached with the plan.
+        inst = Instance(instance.facts())
+        results[tier] = [evaluate(query, inst) for query in queries]
+    assert results["vector"] == results["tuple"]
+    return results["tuple"]
+
+
+@pytest.fixture(params=["numpy", "pure"])
+def numpy_mode(request, monkeypatch):
+    """Run a test on the NumPy path and again on the pure-Python twin."""
+    if request.param == "numpy":
+        if not numpy_active():
+            pytest.skip("NumPy absent")
+    else:
+        monkeypatch.setattr(kernels_module, "_np", None)
+    return request.param
+
+
+@pytest.fixture
+def forced_tier(monkeypatch):
+    """Force every multi-atom plan built afterwards onto one tier."""
+    def force(tier):
+        threshold = 0 if tier == "vector" else float("inf")
+        monkeypatch.setattr(
+            kernels_module, "AUTO_VECTOR_MIN_ROWS", threshold
+        )
+    return force
+
+
 class TestKernelAnswerEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_vector_is_order_exact_and_oracle_equal(self, seed):
         rng = random.Random(seed + 2000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
+        obj = grown.symbols.obj
         for _ in range(4):
             query = _random_query(rng, preds)
-            tuple_answers = list(query.answers(grown, kernel="tuple"))
-            vector_answers = list(query.answers(grown, kernel="vector"))
+            matches, vector, unique, exists = _tiers(query, grown)
             # Sequence equality, not just set equality.
-            assert vector_answers == tuple_answers
-            assert set(tuple_answers) == oracle_answer_set(
-                query.answer_variables, query.atoms, grown
+            assert vector == matches
+            assert unique == _first_seen(matches)
+            assert exists == bool(matches)
+            assert {tuple(obj(t) for t in ids) for ids in vector} == (
+                oracle_answer_set(query.answer_variables, query.atoms,
+                                  grown)
             )
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_wcoj_is_set_exact_on_chase_grown(self, seed):
-        rng = random.Random(seed + 3000)
-        rules, preds, consts = _random_program(rng)
-        grown = _grown(rng, rules, preds, consts)
-        for _ in range(4):
-            query = _random_query(rng, preds)
-            oracle = oracle_answer_set(
-                query.answer_variables, query.atoms, grown
-            )
-            assert set(query.answers(grown, kernel="wcoj")) == oracle
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kernels_agree_on_skolem_instances(self, seed):
@@ -154,166 +204,187 @@ class TestKernelAnswerEquivalence:
                                    max_steps=200)
         for _ in range(3):
             query = _random_query(rng, preds)
-            tuple_answers = list(query.answers(grown, kernel="tuple"))
-            assert (list(query.answers(grown, kernel="vector"))
-                    == tuple_answers)
-            assert (set(query.answers(grown, kernel="wcoj"))
-                    == set(tuple_answers))
+            matches, vector, unique, exists = _tiers(query, grown)
+            assert vector == matches
+            assert unique == _first_seen(matches)
+            assert exists == bool(matches)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_certain_answers_agree_across_kernels(self, seed):
+    def test_answers_agree_across_kernels(self, seed, forced_tier):
+        rng = random.Random(seed + 3000)
+        rules, preds, consts = _random_program(rng)
+        grown = _grown(rng, rules, preds, consts)
+        queries = [_random_query(rng, preds) for _ in range(4)]
+
+        def evaluate(query, inst):
+            return (list(query.answers(inst)),
+                    list(query.compiled().matches_ids(inst)))
+
+        _on_each_tier(forced_tier, grown, queries, evaluate)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certain_answers_agree_across_kernels(self, seed, forced_tier):
         rng = random.Random(seed + 5000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
-        for _ in range(3):
-            query = _random_query(rng, preds)
-            expected = query.certain_answers(grown, kernel="tuple")
-            assert query.certain_answers(grown, kernel="vector") == expected
-            assert query.certain_answers(grown, kernel="wcoj") == expected
-            nulls = grown.nulls()
-            for answer in expected:
+        queries = [_random_query(rng, preds) for _ in range(3)]
+        expected = _on_each_tier(
+            forced_tier, grown, queries,
+            lambda query, inst: query.certain_answers(inst),
+        )
+        for answers in expected:
+            for answer in answers:
                 assert not any(isinstance(t, Null) for t in answer)
-            del nulls
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_boolean_queries_agree_across_kernels(self, seed):
+    def test_boolean_queries_agree_across_kernels(self, seed, forced_tier):
         rng = random.Random(seed + 6000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
-        for _ in range(4):
-            query = _random_query(rng, preds)
-            boolean = ConjunctiveQuery([], query.atoms)
-            expected = boolean.holds_in(grown, kernel="tuple")
-            assert boolean.holds_in(grown, kernel="vector") == expected
-            assert boolean.holds_in(grown, kernel="wcoj") == expected
+        queries = [
+            ConjunctiveQuery([], _random_query(rng, preds).atoms)
+            for _ in range(4)
+        ]
+        _on_each_tier(
+            forced_tier, grown, queries,
+            lambda query, inst: query.holds_in(inst),
+        )
 
-    def test_auto_matches_tuple(self):
+    def test_chosen_tier_matches_tuple(self, forced_tier):
         inst = _edge_instance(extra=[("v1", "v0")])
         query = ConjunctiveQuery([X, Z], TRIANGLE)
-        assert (set(query.answers(inst, kernel="auto"))
-                == set(query.answers(inst, kernel="tuple")))
+        chosen = list(query.answers(inst))
+        forced_tier("tuple")
+        assert list(query.answers(Instance(inst.facts()))) == chosen
 
-    def test_triangle_query_wcoj(self):
+    def test_triangle_query_vector(self):
         inst = _edge_instance(
             n=30,
             extra=[("t0", "t1"), ("t1", "t2"), ("t2", "t0")],
         )
         query = ConjunctiveQuery([X, Y, Z], TRIANGLE)
+        matches, vector, _, _ = _tiers(query, inst)
+        assert vector == matches
+        obj = inst.symbols.obj
         oracle = oracle_answer_set([X, Y, Z], TRIANGLE, inst)
-        assert set(query.answers(inst, kernel="wcoj")) == oracle
-        assert set(query.answers(inst, kernel="vector")) == oracle
+        assert {tuple(obj(t) for t in ids) for ids in vector} == oracle
         assert (Constant("t0"), Constant("t1"), Constant("t2")) in oracle
 
 
 class TestPurePythonFallback:
     @pytest.mark.parametrize("seed", range(5))
-    def test_fallback_is_answer_identical(self, seed, monkeypatch):
+    def test_fallback_is_answer_identical(
+        self, seed, monkeypatch, forced_tier
+    ):
         rng = random.Random(seed + 7000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
         queries = [_random_query(rng, preds) for _ in range(3)]
+        forced_tier("vector")
         with_np = [
-            (list(q.answers(grown, kernel="vector")),
-             sorted(q.answers(grown, kernel="wcoj")))
-            for q in queries
+            (list(q.answers(grown)), _tiers(q, grown)) for q in queries
         ]
         monkeypatch.setattr(kernels_module, "_np", None)
         assert not numpy_active()
         without_np = [
-            (list(q.answers(Instance(grown.facts()), kernel="vector")),
-             sorted(q.answers(Instance(grown.facts()), kernel="wcoj")))
-            for q in queries
+            (list(q.answers(grown)), _tiers(q, grown)) for q in queries
         ]
         assert without_np == with_np
 
-    def test_fallback_chase_is_byte_identical(self, monkeypatch):
-        rules, db = _chase_workload()
-        baseline = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
-                             max_steps=400, kernel="tuple")
-        monkeypatch.setattr(kernels_module, "_np", None)
-        forced = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
-                           max_steps=400, kernel="vector")
-        assert forced.instance.facts() == baseline.instance.facts()
+
+def _pick(atoms, inst):
+    """The tier ``CompiledQuery`` runs ``atoms`` on over ``inst``."""
+    return choose_kernel(order_for(atoms, inst), inst)
 
 
-def _chase_workload():
-    """A join-heavy program over a seeded edge relation — enough rows
-    that the batch tier actually engages in discovery."""
-    rules = [
-        TGD([atom("e", "X", "Y"), atom("e", "Y", "Z")],
-            [atom("p", "X", "Z")]),
-        TGD([atom("p", "X", "Y")],
-            [Atom(Predicate("q", 2), [X, W])]),  # existential W
-        TGD([atom("q", "X", "Y"), atom("e", "X", "Z")],
-            [atom("r", "Y", "Z")]),
-    ]
-    db = Database()
-    for i in range(60):
-        db.add(atom("e", f"v{i}", f"v{(i * 11 + 5) % 60}"))
-    return rules, db
+def _exchange_instance(emps=3000, depts=60):
+    """The s-t exchange target shape: every emp has an invented key
+    working in one department."""
+    inst = Instance()
+    for i in range(emps):
+        inst.add(atom("t_emp", f"e{i}", f"k{i}"))
+        inst.add(atom("t_works", f"k{i}", f"d{i % depts}"))
+    return inst
 
 
-class TestChaseByteIdentity:
-    @pytest.mark.parametrize("variant", [
-        ChaseVariant.OBLIVIOUS,
-        ChaseVariant.SEMI_OBLIVIOUS,
-        ChaseVariant.RESTRICTED,
-    ])
-    @pytest.mark.parametrize("kernel", ["vector", "auto"])
-    def test_chase_is_byte_identical_across_kernels(self, variant, kernel):
-        rules, db = _chase_workload()
-        baseline = run_chase(db, rules, variant, max_steps=600,
-                             kernel="tuple")
-        routed = run_chase(db, rules, variant, max_steps=600,
-                           kernel=kernel)
-        assert routed.instance.facts() == baseline.instance.facts()
-        assert len(routed.steps) == len(baseline.steps)
-        for ours, theirs in zip(routed.steps, baseline.steps):
-            assert ours.trigger.key(variant) == theirs.trigger.key(variant)
+def _spy(monkeypatch, name):
+    """Count calls to one vector-kernel entry point."""
+    calls = []
+    original = getattr(kernels_module, name)
 
-    def test_wcoj_kernel_falls_back_in_discovery(self):
-        # Rule bodies are pivot-seeded, so the wcoj kernel routes
-        # discovery through the tuple engine — still byte-identical.
-        rules, db = _chase_workload()
-        baseline = run_chase(db, rules, ChaseVariant.RESTRICTED,
-                             max_steps=600, kernel="tuple")
-        routed = run_chase(db, rules, ChaseVariant.RESTRICTED,
-                           max_steps=600, kernel="wcoj")
-        assert routed.instance.facts() == baseline.instance.facts()
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
 
-    def test_run_chase_rejects_unknown_kernel(self):
-        rules, db = _chase_workload()
-        with pytest.raises(ValueError):
-            run_chase(db, rules, ChaseVariant.RESTRICTED, kernel="simd")
+    monkeypatch.setattr(kernels_module, name, spy)
+    return calls
 
 
 class TestKernelSelection:
-    def test_kernel_vocabulary(self):
-        assert KERNELS == ("tuple", "vector", "wcoj", "auto")
-
-    def test_triangle_is_cyclic(self):
-        assert is_cyclic(TRIANGLE)
-
-    def test_path_is_acyclic(self):
-        assert not is_cyclic([atom("e", "X", "Y"), atom("e", "Y", "Z")])
-
-    def test_single_atom_is_acyclic(self):
-        assert not is_cyclic([atom("e", "X", "Y")])
-
     def test_choose_kernel_small_instance_is_tuple(self):
         inst = Instance([atom("e", "a", "b")])
-        assert choose_kernel(
-            tuple([atom("e", "X", "Y"), atom("f", "Y", "Z")]), inst
+        assert _pick(
+            [atom("e", "X", "Y"), atom("f", "Y", "Z")], inst
         ) == "tuple"
 
-    @pytest.mark.skipif(not numpy_active(), reason="NumPy absent")
-    def test_choose_kernel_cyclic_is_wcoj(self):
-        inst = _edge_instance()
-        assert choose_kernel(tuple(TRIANGLE), inst) == "wcoj"
+    def test_constant_selective_join_stays_tuple(
+        self, numpy_mode, monkeypatch
+    ):
+        inst = _exchange_instance()
+        assert len(inst) > AUTO_VECTOR_MIN_ROWS
+        atoms = [atom("t_emp", "E", "K"), atom("t_works", "K", "d7")]
+        assert _pick(atoms, inst) == "tuple"
+        calls = _spy(monkeypatch, "run_batch_unique")
+        answers = list(CompiledQuery([Variable("E")], atoms).answers(inst))
+        assert len(answers) == 50
+        assert calls == []
 
-    def test_compiled_query_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            CompiledQuery([X], [atom("e", "X", "Y")], kernel="gpu")
+    def test_single_atom_lookup_stays_tuple(self):
+        inst = _exchange_instance()
+        assert _pick([atom("t_works", "K", "D")], inst) == "tuple"
+        assert _pick([atom("t_works", "K", "d7")], inst) == "tuple"
+
+    def test_fat_chained_join_is_vector(self, numpy_mode, monkeypatch):
+        inst = _exchange_instance()
+        atoms = [atom("t_emp", "E", "K"), atom("t_works", "K", "D")]
+        assert _pick(atoms, inst) == "vector"
+        calls = _spy(monkeypatch, "run_batch_unique")
+        compiled = CompiledQuery([Variable("E"), Variable("D")], atoms)
+        assert len(list(compiled.answers(inst))) == 3000
+        assert calls == ["run_batch_unique"]
+
+    def test_low_degree_triangle_is_vector(self, numpy_mode, monkeypatch):
+        # Out-degree at most 2 over 1500 nodes, one planted triangle.
+        n = 1500
+        inst = _edge_instance(
+            n=n,
+            extra=[(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+            + [("t0", "t1"), ("t1", "t2"), ("t2", "t0")],
+        )
+        assert _pick(TRIANGLE, inst) == "vector"
+        calls = _spy(monkeypatch, "run_batch_unique")
+        compiled = CompiledQuery([X, Y, Z], TRIANGLE)
+        answers = list(compiled.answers(inst))
+        assert calls == ["run_batch_unique"]
+        matches, _, _, _ = _tiers(ConjunctiveQuery([X, Y, Z], TRIANGLE),
+                                  inst)
+        obj = inst.symbols.obj
+        assert answers == [
+            tuple(obj(t) for t in ids) for ids in _first_seen(matches)
+        ]
+        assert (Constant("t0"), Constant("t1"), Constant("t2")) in answers
+
+    def test_pick_follows_growth(self):
+        # The pick is made per plan, and plans are rebuilt when the
+        # instance crosses a fact-count bucket.
+        compiled = CompiledQuery(
+            [X, Z], [atom("e", "X", "Y"), atom("e", "Y", "Z")]
+        )
+        inst = _edge_instance(n=40)
+        assert compiled._resolved(inst)[5] is False
+        for i in range(4000):
+            inst.add(atom("e", f"w{i}", f"w{i + 1}"))
+        assert compiled._resolved(inst)[5] is True
 
 
 class TestEarlyOut:
@@ -321,7 +392,6 @@ class TestEarlyOut:
         inst = Instance([atom("e", "a", "b")])
         compiled = CompiledQuery(
             [X], [atom("e", "X", "Y"), atom("e", "X", "zzz")],
-            kernel="tuple",
         )
         assert list(compiled.answers(inst)) == []
         assert compiled.stats["early_outs"] == 1

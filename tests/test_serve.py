@@ -395,6 +395,32 @@ def test_http_end_to_end():
     service.close()
 
 
+def test_http_query_certain_must_be_boolean():
+    # bool("false") is True: a coerced string would silently turn a
+    # naive query into a certain-answer one.
+    service = ChaseService()
+    service.add_session("default", fresh_session())
+    query = "q(Y, W) :- tag(Y, W)"  # every answer carries a null
+    with serve_background(service) as background:
+        host, port = background.address
+        status, out = _request(
+            host, port, "POST", "/query", {"query": query, "certain": False}
+        )
+        assert status == 200 and out["certain"] is False
+        assert out["count"] == 2
+        status, out = _request(
+            host, port, "POST", "/query", {"query": query, "certain": True}
+        )
+        assert status == 200 and out["count"] == 0
+        for bad in ("false", "true", 0, 1, None, []):
+            status, out = _request(
+                host, port, "POST", "/query", {"query": query, "certain": bad}
+            )
+            assert status == 400, bad
+            assert "certain" in out["error"]
+    service.close()
+
+
 def test_http_readonly_store_conflict():
     service = ChaseService()
     service.add_readonly(
