@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """CI checkpoint/kill/resume round-trip.
 
-Builds a small transitive-closure program, chases it uninterrupted in
-memory, then re-runs it through the CLI with ``--save`` under a tight
-``--max-rounds`` budget so the run is cut off mid-chase (the budget
-stop leaves the same on-disk state a kill between checkpoints would),
-resumes the store with ``chase --resume``, and finally reopens the
-finished store through the API and requires the persisted run to be
-**byte-identical** to the uninterrupted one: same facts in the same
-order, same trigger keys, same provenance ordinals.
+Builds a small transitive-closure program, chases it uninterrupted
+(saved to its own store), then re-runs it through the CLI with
+``--save`` under a tight ``--max-rounds`` budget so the run is cut off
+mid-chase (the budget stop leaves the same on-disk state a kill
+between checkpoints would), resumes the store with ``chase --resume``,
+and finally reopens the finished store through the API and requires
+the persisted run to be **byte-identical** to the uninterrupted one:
+same facts in the same order, same trigger keys, same provenance
+ordinals, and the same ``steps.q`` step log on disk, byte for byte.
 
 Both interrupted legs go through :func:`repro.cli.main` — the exact
 surface a user hits — and the comparison reads back what those legs
@@ -28,6 +29,7 @@ sys.path.insert(
 )
 
 from repro.chase import resume_chase, run_chase  # noqa: E402
+from repro.chase.checkpoint import STEPS_FILE  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.parser import parse_database, parse_program  # noqa: E402
 
@@ -49,6 +51,11 @@ def fingerprint(result):
     )
 
 
+def steps_file(store):
+    with open(os.path.join(store, STEPS_FILE), "rb") as handle:
+        return handle.read()
+
+
 def fail(message):
     print(f"check_resume: FAIL — {message}")
     return 1
@@ -58,16 +65,18 @@ def run() -> int:
     database_text = "\n".join(
         f"e(n{i}, n{i + 1})" for i in range(EDGES)
     )
-    reference = run_chase(
-        parse_database(database_text),
-        parse_program(PROGRAM),
-        "semi_oblivious",
-        max_steps=10_000,
-    )
-    if not reference.terminated:
-        return fail("reference run did not reach fixpoint")
-
     with tempfile.TemporaryDirectory() as tmp:
+        reference_store = os.path.join(tmp, "reference")
+        reference = run_chase(
+            parse_database(database_text),
+            parse_program(PROGRAM),
+            "semi_oblivious",
+            max_steps=10_000,
+            save=reference_store,
+        )
+        if not reference.terminated:
+            return fail("reference run did not reach fixpoint")
+
         rules_path = os.path.join(tmp, "rules.tgd")
         db_path = os.path.join(tmp, "db.facts")
         store = os.path.join(tmp, "store")
@@ -100,6 +109,11 @@ def run() -> int:
             return fail(
                 "resumed run is not byte-identical to the "
                 "uninterrupted run"
+            )
+        if steps_file(store) != steps_file(reference_store):
+            return fail(
+                f"the resumed store's {STEPS_FILE} differs from the "
+                f"uninterrupted run's"
             )
         print(
             f"check_resume: ok — {persisted.step_count} steps, "

@@ -15,9 +15,11 @@ three files inside the store directory:
 
     ``ids`` is the trigger's interned homomorphism (aligned with the
     rule's name-sorted body variables), ``ords`` the log ordinals of
-    the facts it produced.  The resumed run rebuilds its ``steps``
-    list from these, so fingerprints (trigger keys + provenance) are
-    byte-identical to the uninterrupted run's.
+    the facts it produced.  This is also the in-memory layout of the
+    run's :class:`~repro.chase.result.StepLog`, so a checkpoint appends
+    the log's tail as-is and a resumed run loads the file as its log:
+    fingerprints (trigger keys + provenance) are byte-identical to the
+    uninterrupted run's.
 ``fired.q``
     One record per fired *key*, in hand-out order::
 
@@ -44,7 +46,8 @@ crash before the manifest leaves the previous checkpoint fully intact
 Null numbering is not persisted per-null: every fired trigger mints
 ``len(rule.existentials_sorted)`` fresh nulls (head-row dedup happens
 *after* minting — see ``apply_trigger_ids``), so the counter is a
-running sum over the step log, maintained incrementally here.
+running sum over the step log's rule column, maintained incrementally
+here.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import os
 import pickle
 from array import array
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..model import Instance, TGD
 from ..storage.durable import (
@@ -62,7 +65,7 @@ from ..storage.durable import (
     _read_ints,
 )
 from .delta import DeltaEngine
-from .result import ChaseStep
+from .result import StepLog
 from .triggers import Trigger
 
 STEPS_FILE = "steps.q"
@@ -86,7 +89,7 @@ class Checkpointer:
 
     __slots__ = ("writer", "rules", "variant", "planner", "max_steps",
                  "n_steps", "steps_ints", "n_fired", "fired_ints",
-                 "fired_logged", "null_next")
+                 "fired_logged", "null_next", "_nulls_per_rule")
 
     def __init__(self, writer: StoreWriter, rules: Sequence[TGD],
                  variant: str, planner: str, max_steps: int,
@@ -96,6 +99,9 @@ class Checkpointer:
         self.variant = variant
         self.planner = planner
         self.max_steps = max_steps
+        self._nulls_per_rule = [
+            len(rule.existentials_sorted) for rule in self.rules
+        ]
         if state is None:
             self.n_steps = 0
             self.steps_ints = 0
@@ -140,7 +146,7 @@ class Checkpointer:
     def checkpoint(
         self,
         engine: DeltaEngine,
-        steps: Sequence[ChaseStep],
+        steps: StepLog,
         pending: Sequence[Trigger] = (),
         rounds: int = 0,
         terminated: bool = False,
@@ -151,22 +157,15 @@ class Checkpointer:
         ``pending`` is the not-yet-applied remainder of an interrupted
         round, in canonical order."""
         instance = engine.instance
-        # 1. applied-step tail.
-        new_steps = steps[self.n_steps:]
-        if new_steps:
-            buf = array("q")
-            for step in new_steps:
-                trigger = step.trigger
-                ids = trigger.ids(instance)
-                ords = step._ordinals
-                buf.append(trigger.rule_index)
-                buf.append(len(ids))
-                buf.extend(ids)
-                buf.append(len(ords))
-                buf.extend(ords)
-                self.null_next += len(trigger.rule.existentials_sorted)
-            self.writer.append_ints(STEPS_FILE, buf)
-            self.steps_ints += len(buf)
+        # 1. applied-step tail: the log is laid out as steps.q records.
+        if len(steps) > self.n_steps:
+            self.writer.append_ints(STEPS_FILE, steps.flat[self.steps_ints:])
+            nulls = self._nulls_per_rule
+            self.null_next += sum(
+                nulls[rule_index]
+                for rule_index in steps.rule_indices(self.n_steps)
+            )
+            self.steps_ints = len(steps.flat)
             self.n_steps = len(steps)
         # 2. fired-key tail, off the engine's hand-out-order log.
         log = engine.fired_log or ()
@@ -218,9 +217,8 @@ class Checkpointer:
 
 def load_state(path: str, store) -> dict:
     """The resume state of a checkpointed store directory: the header
-    plus the decoded step records (``state["steps"]`` as
-    ``(rule_index, ids, ordinals)`` triples) and fired-key set
-    (``state["fired"]``).  Refuses headers torn relative to the
+    plus the step log's flat ``steps.q`` records (``state["steps"]``,
+    an ``array('q')``) and the fired-key set (``state["fired"]``).  Refuses headers torn relative to the
     store's committed fact count."""
     header_path = os.path.join(path, CHASE_STATE)
     if not os.path.exists(header_path):
@@ -241,21 +239,9 @@ def load_state(path: str, store) -> dict:
             f"{path}: torn checkpoint — header describes "
             f"{state['facts']} facts, store committed {store.size()}"
         )
-    flat = _read_ints(os.path.join(path, STEPS_FILE), state["steps_ints"])
-    steps: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-    i = 0
-    for _ in range(state["n_steps"]):
-        rule_index = flat[i]
-        n = flat[i + 1]
-        i += 2
-        ids = tuple(flat[i:i + n])
-        i += n
-        n = flat[i]
-        i += 1
-        ords = tuple(flat[i:i + n])
-        i += n
-        steps.append((rule_index, ids, ords))
-    state["steps"] = steps
+    state["steps"] = _read_ints(
+        os.path.join(path, STEPS_FILE), state["steps_ints"]
+    )
     flat = _read_ints(os.path.join(path, FIRED_FILE), state["fired_ints"])
     fired: set = set()
     i = 0

@@ -39,7 +39,7 @@ from ..runtime.budget import (
 )
 from .checkpoint import Checkpointer, load_state
 from .delta import DeltaEngine, delta_triggers
-from .result import ChaseResult, ChaseStep
+from .result import ChaseResult, StepLog
 from .scheduler import RoundScheduler, SchedulerSpec, resolve_scheduler
 from .triggers import (
     ChaseVariant,
@@ -82,7 +82,7 @@ def _drive(
     engine: DeltaEngine,
     round_scheduler: RoundScheduler,
     owns_scheduler: bool,
-    steps: List[ChaseStep],
+    steps: StepLog,
     rng=None,
     ckpt: Optional[Checkpointer] = None,
     checkpoint_every: int = 1,
@@ -127,6 +127,8 @@ def _drive(
         # governed arm pays one decrement-and-test per applied
         # trigger, keeping budget overhead inside the bench gate.
         check_in = _STEP_CHECK_EVERY if budget is not None else -1
+        record = steps.append
+        room = max_steps - len(steps)
         for position, trigger in enumerate(round_triggers):
             if restricted:
                 if probes is not None and probes[position]:
@@ -137,10 +139,10 @@ def _drive(
                 if head_satisfied(trigger, instance):
                     continue
             new_ordinals = apply_trigger_ids(trigger, instance, factory)
-            steps.append(ChaseStep(trigger, instance, new_ordinals))
+            record(trigger.rule_index, trigger.ids(instance), new_ordinals)
             engine.notify(new_ordinals)
             fired += 1
-            if len(steps) >= max_steps:
+            if fired >= room:
                 return finish(False, STOP_STEP_BUDGET,
                               round_triggers[position + 1:]), fired
             check_in -= 1
@@ -318,7 +320,7 @@ def run_chase(
         variant=variant,
         budget=budget,
     )
-    steps: List[ChaseStep] = []
+    steps = StepLog(rules, instance)
     rng = None
     if order_seed is not None:
         import random
@@ -395,13 +397,7 @@ def resume_chase(
     store.ensure_all()
     instance = Instance(store=store)
     instance.order_policy = state["planner"]
-    steps = [
-        ChaseStep(
-            Trigger.from_ids(rules[ri], ri, ids, instance),
-            instance, ords,
-        )
-        for ri, ids, ords in state["steps"]
-    ]
+    steps = StepLog(rules, instance, state["steps"])
     if state["terminated"]:
         return ChaseResult(
             instance, True, steps, variant, max_steps,

@@ -48,7 +48,7 @@ on exactly this.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..model import Atom, Instance, NullFactory, TGD, validate_program
 from ..model.instances import SnapshotInstance
@@ -56,7 +56,7 @@ from ..runtime.budget import STOP_FIXPOINT, Budget
 from .checkpoint import Checkpointer, load_state
 from .delta import DeltaEngine, ingest_facts
 from .engine import DEFAULT_MAX_STEPS, _drive
-from .result import ChaseResult, ChaseStep
+from .result import ChaseResult, StepLog
 from .scheduler import SchedulerSpec, resolve_scheduler
 from .triggers import ChaseVariant, Trigger
 
@@ -158,7 +158,7 @@ class ChaseSession:
         instance.order_policy = planner
         session.instance = instance
         session._factory = NullFactory()
-        session._steps = []
+        session._steps = StepLog(rules, instance)
         round_scheduler, owns = resolve_scheduler(scheduler, workers)
         session._scheduler = round_scheduler
         session._owns_scheduler = owns
@@ -228,13 +228,7 @@ class ChaseSession:
         instance.order_policy = state["planner"]
         session.instance = instance
         session._factory = NullFactory(start=state["null_next"])
-        session._steps = [
-            ChaseStep(
-                Trigger.from_ids(rules[ri], ri, ids, instance),
-                instance, ords,
-            )
-            for ri, ids, ords in state["steps"]
-        ]
+        session._steps = StepLog(rules, instance, state["steps"])
         round_scheduler, owns = resolve_scheduler(scheduler, workers)
         session._scheduler = round_scheduler
         session._owns_scheduler = owns

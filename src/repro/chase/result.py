@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+from collections import abc
 from typing import Dict, List, Optional, Sequence
 
 from ..model import (
@@ -50,6 +52,98 @@ class ChaseStep:
         return f"ChaseStep({self.trigger.rule.label or self.trigger.rule_index}: {produced})"
 
 
+class StepLog(abc.Sequence):
+    """The applied steps of a chase run, kept as int columns.
+
+    ``flat`` holds one record per applied trigger, laid out exactly
+    like a ``steps.q`` record of :mod:`repro.chase.checkpoint`::
+
+        [rule_index, n_ids, *ids, n_ords, *ords]
+
+    (``ids`` the trigger's interned homomorphism, ``ords`` the log
+    ordinals of the facts it produced) and ``offsets[i]`` is where
+    record ``i`` starts.  The engine appends plain ints; indexing,
+    slicing and iteration decode a :class:`ChaseStep` with its
+    :class:`~repro.chase.triggers.Trigger` on first access and cache
+    it, so ``log[i] is log[i]`` and a run whose steps are never
+    inspected builds no step objects at all.
+    """
+
+    __slots__ = ("rules", "source", "flat", "offsets", "_decoded")
+
+    def __init__(
+        self,
+        rules: Sequence[TGD],
+        source: Instance,
+        flat: Optional[array] = None,
+    ):
+        self.rules = rules
+        self.source = source
+        self.flat = array("q") if flat is None else flat
+        self.offsets = array("q")
+        # A loaded log (resume) arrives as whole flat records.
+        at = 0
+        while at < len(self.flat):
+            self.offsets.append(at)
+            at += 2 + self.flat[at + 1]
+            at += 1 + self.flat[at]
+        self._decoded: List[Optional[ChaseStep]] = []
+
+    def append(
+        self, rule_index: int, ids: Sequence[int], ords: Sequence[int]
+    ) -> None:
+        """Record one applied trigger."""
+        flat = self.flat
+        self.offsets.append(len(flat))
+        flat.append(rule_index)
+        flat.append(len(ids))
+        flat.extend(ids)
+        flat.append(len(ords))
+        flat.extend(ords)
+
+    def rule_indices(self, start: int = 0):
+        """The rule index of every step from ``start`` on, in order."""
+        flat = self.flat
+        return [flat[at] for at in self.offsets[start:]]
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index):
+        n = len(self.offsets)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("step index out of range")
+        cache = self._decoded
+        if len(cache) < n:
+            cache.extend([None] * (n - len(cache)))
+        step = cache[index]
+        if step is None:
+            step = cache[index] = self._decode(index)
+        return step
+
+    def _decode(self, index: int) -> ChaseStep:
+        flat = self.flat
+        at = self.offsets[index]
+        rule_index = flat[at]
+        n = flat[at + 1]
+        at += 2
+        ids = tuple(flat[at:at + n])
+        at += n
+        ords = flat[at + 1:at + 1 + flat[at]]
+        source = self.source
+        trigger = Trigger.from_ids(
+            self.rules[rule_index], rule_index, ids, source
+        )
+        return ChaseStep(trigger, source, ords)
+
+    def __repr__(self) -> str:
+        return f"StepLog({len(self)} steps)"
+
+
 class ChaseResult:
     """The outcome of a (budgeted) chase run.
 
@@ -84,7 +178,7 @@ class ChaseResult:
         self,
         instance: Instance,
         terminated: bool,
-        steps: List[ChaseStep],
+        steps: StepLog,
         variant: str,
         max_steps: int,
         stop_reason: Optional[str] = None,
@@ -101,9 +195,10 @@ class ChaseResult:
             stop_reason = "fixpoint" if terminated else "step_budget"
         self.stop_reason = stop_reason
         self.resource: Dict[str, object] = resource or {}
-        # fact -> creating step, built lazily on the first provenance
-        # lookup (and extended if steps were appended since).
-        self._provenance: Dict[Atom, ChaseStep] = {}
+        # fact ordinal -> creating step index + 1 (0: none), built
+        # lazily on the first provenance lookup (and extended if steps
+        # were appended since).
+        self._provenance = array("q")
         self._provenance_built = 0
 
     @property
@@ -120,27 +215,45 @@ class ChaseResult:
         """The step that created ``fact``, or ``None`` for database
         facts (and facts not in the result).
 
-        Backed by a lazily built fact→step map, so batch provenance
-        queries (the E-suite runs one per derived fact) cost O(1) each
-        after a single O(steps) build instead of O(steps) per lookup.
+        Backed by a lazily built fact-ordinal → step-index column read
+        off the step log, so batch provenance queries (the E-suite runs
+        one per derived fact) cost O(1) each after a single O(steps)
+        build, and only the steps actually returned are decoded.
         """
-        built = self._provenance_built
         steps = self.steps
-        if built < len(steps):
-            table = self._provenance
-            for step in steps[built:]:
-                for produced in step.new_facts:
-                    table.setdefault(produced, step)
-            self._provenance_built = len(steps)
-        return self._provenance.get(fact)
+        built = self._provenance_built
+        count = len(steps)
+        table = self._provenance
+        if built < count:
+            missing = len(self.instance) - len(table)
+            if missing > 0:
+                table.frombytes(bytes(missing * table.itemsize))
+            flat = steps.flat
+            offsets = steps.offsets
+            for index in range(built, count):
+                at = offsets[index]
+                at += 2 + flat[at + 1]
+                # A fact ordinal is produced by exactly one step.
+                for ordinal in flat[at + 1:at + 1 + flat[at]]:
+                    table[ordinal] = index + 1
+            self._provenance_built = count
+        ordinal = self.instance.ordinal_of(fact)
+        if ordinal is None or ordinal >= len(table) or not table[ordinal]:
+            return None
+        return steps[table[ordinal] - 1]
 
     def facts_by_rule(self) -> Dict[str, int]:
         """How many facts each rule contributed (by label or index)."""
+        steps = self.steps
+        flat = steps.flat
+        keys = [
+            rule.label or f"rule{index}"
+            for index, rule in enumerate(steps.rules)
+        ]
         out: Dict[str, int] = {}
-        for step in self.steps:
-            rule = step.trigger.rule
-            key = rule.label or f"rule{step.trigger.rule_index}"
-            out[key] = out.get(key, 0) + len(step._ordinals)
+        for at in steps.offsets:
+            key = keys[flat[at]]
+            out[key] = out.get(key, 0) + flat[at + 2 + flat[at + 1]]
         return out
 
     def __repr__(self) -> str:

@@ -556,6 +556,9 @@ def _cmd_serve(args) -> int:
                 save=args.save, overwrite=args.overwrite,
                 **_scheduler_args(args),
             )
+        # The session copied the facts into its own instance; drop the
+        # parse so it is not kept alive for the server's lifetime.
+        del database
         service.add_session(
             "default", session, journal=bool(args.save)
         )

@@ -10,6 +10,7 @@ from .parser import (
     parse_rule,
 )
 from .printer import (
+    answers_to_text,
     atom_to_text,
     instance_to_text,
     program_to_text,
@@ -18,6 +19,7 @@ from .printer import (
 
 __all__ = [
     "ParseError",
+    "answers_to_text",
     "atom_to_text",
     "instance_to_text",
     "parse_atom",

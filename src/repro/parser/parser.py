@@ -24,7 +24,15 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from ..model import Atom, Constant, Database, Predicate, Term, TGD, Variable
+from ..model import (
+    Atom,
+    Constant,
+    Database,
+    Term,
+    TGD,
+    Variable,
+    intern_predicate,
+)
 
 
 class ParseError(ValueError):
@@ -131,7 +139,7 @@ def _parse_atom(stream: _TokenStream) -> Atom:
                     f"expected ',' or ')', found {value!r}", stream.text, pos
                 )
             terms.append(_parse_term(stream))
-    return Atom(Predicate(name, len(terms)), terms)
+    return Atom(intern_predicate(name, len(terms)), terms)
 
 
 def _parse_atom_list(stream: _TokenStream) -> List[Atom]:

@@ -7,26 +7,41 @@ which matches the usual convention that databases are null-free).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Dict, Iterable, List, Sequence
 
-from ..model import Atom, Instance, TGD
+from ..model import Atom, Constant, Instance, TGD, Term
 
 
 def atom_to_text(atom: Atom) -> str:
     """Render one atom, quoting constants that would not re-parse bare."""
-    parts = []
-    for term in atom.terms:
-        text = str(term)
-        if _needs_quoting(term, text):
-            parts.append(f"'{text}'")
-        else:
+    parts = ", ".join(_term_to_text(term) for term in atom.terms)
+    return f"{atom.predicate.name}({parts})"
+
+
+def answers_to_text(
+    name: str, answers: Iterable[Sequence[Term]]
+) -> List[str]:
+    """Render answer tuples as atoms over the predicate ``name`` —
+    ``atom_to_text`` of each — rendering every distinct term once."""
+    rendered: Dict[Term, str] = {}
+    out = []
+    for answer in answers:
+        parts = []
+        for term in answer:
+            text = rendered.get(term)
+            if text is None:
+                text = rendered[term] = _term_to_text(term)
             parts.append(text)
-    return f"{atom.predicate.name}({', '.join(parts)})"
+        out.append(f"{name}({', '.join(parts)})")
+    return out
+
+
+def _term_to_text(term: Term) -> str:
+    text = str(term)
+    return f"'{text}'" if _needs_quoting(term, text) else text
 
 
 def _needs_quoting(term: object, text: str) -> bool:
-    from ..model import Constant
-
     if not isinstance(term, Constant):
         return False
     if not text:

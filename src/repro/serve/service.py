@@ -60,9 +60,15 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..chase.incremental import ChaseSession
 from ..errors import BudgetExceededError, ReproError
-from ..model import Atom, Instance, Predicate
+from ..model import Atom, Instance
 from ..model.instances import SnapshotInstance
-from ..parser import atom_to_text, parse_atom, parse_fact, parse_query
+from ..parser import (
+    answers_to_text,
+    atom_to_text,
+    parse_atom,
+    parse_fact,
+    parse_query,
+)
 from ..runtime import faults
 from ..runtime.budget import Budget, CancelToken
 from ..storage.journal import MAX_ACKS, IngestJournal
@@ -419,11 +425,7 @@ class ChaseService:
                     answers = list(
                         query.answers(snapshot, policy=policy, budget=budget)
                     )
-                name = query.name
-                out["answers"] = [
-                    atom_to_text(Atom(Predicate(name, len(answer)), answer))
-                    for answer in answers
-                ]
+                out["answers"] = answers_to_text(query.name, answers)
                 out["count"] = len(answers)
             out["elapsed_s"] = round(budget.elapsed_s(), 6)
             target.note_query()

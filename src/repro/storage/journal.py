@@ -40,11 +40,12 @@ An ACK record marks a delta as *covered*: the chase leg finished and
 its round-boundary checkpoint committed (``extend`` checkpoints at
 the stop before returning), so replay must skip it, and the recorded
 response is what a retried ``ingest_id`` receives.  Compaction —
-triggered once the file outgrows ``compact_bytes`` — rewrites the
-journal atomically (tmp + ``os.replace``) keeping only the bounded
-ACK window (:data:`MAX_ACKS` most recent, the idempotency memory) and
-any still-uncovered DELTA records, i.e. journal entries are truncated
-once the covering chase checkpoint commits.
+triggered once the DELTA records covered since the last compaction
+add up to more than ``compact_bytes`` — rewrites the journal
+atomically (tmp + ``os.replace``) keeping only the bounded ACK window
+(:data:`MAX_ACKS` most recent, the idempotency memory) and any
+still-uncovered DELTA records, i.e. journal entries are truncated once
+the covering chase checkpoint commits.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ _HEADER = struct.Struct("<4sBII")  # magic, kind, payload len, crc32
 #: the response is freshly computed rather than replayed.
 MAX_ACKS = 512
 
-#: Compact (rewrite dropping covered delta payloads) once the file
-#: exceeds this many bytes.
+#: Compact (rewrite dropping covered delta payloads) once the DELTA
+#: records covered since the last compaction exceed this many bytes.
+#: Counting the file size instead would compact on every ack once the
+#: kept ACK window alone outgrows the threshold.
 DEFAULT_COMPACT_BYTES = 64 * 1024
 
 _U16_MAX = 0xFFFF
@@ -173,7 +176,8 @@ class IngestJournal:
     """
 
     __slots__ = ("path", "acked", "pending", "torn_bytes",
-                 "compact_bytes", "_bytes")
+                 "compact_bytes", "_bytes", "_delta_bytes",
+                 "_covered_bytes")
 
     def __init__(self, path: str,
                  compact_bytes: int = DEFAULT_COMPACT_BYTES):
@@ -189,6 +193,11 @@ class IngestJournal:
         self.torn_bytes = 0
         self.compact_bytes = compact_bytes
         self._bytes = 0
+        #: framed size of each pending DELTA record, and the bytes of
+        #: DELTA records acked since the last compaction (what the
+        #: next compaction reclaims).
+        self._delta_bytes: Dict[str, int] = {}
+        self._covered_bytes = 0
         self._load()
 
     @classmethod
@@ -224,9 +233,10 @@ class IngestJournal:
                 if kind == _KIND_DELTA:
                     ingest_id, facts = _decode_delta(payload)
                     self.pending[ingest_id] = facts
+                    self._delta_bytes[ingest_id] = _HEADER.size + length
                 elif kind == _KIND_ACK:
                     ingest_id, response = _decode_ack(payload)
-                    self.pending.pop(ingest_id, None)
+                    self._cover(ingest_id)
                     self.acked[ingest_id] = response
                     self.acked.move_to_end(ingest_id)
                 else:
@@ -282,11 +292,17 @@ class IngestJournal:
         finally:
             os.close(fd)
 
+    def _cover(self, ingest_id: str) -> None:
+        self.pending.pop(ingest_id, None)
+        self._covered_bytes += self._delta_bytes.pop(ingest_id, 0)
+
     def append_delta(self, ingest_id: str, facts: List[Atom]) -> None:
         """Make the delta durable *before* the chase leg touches the
         instance — the fsync-before-ack half of the contract."""
-        self._append(_frame(_KIND_DELTA, _encode_delta(ingest_id, facts)))
+        record = _frame(_KIND_DELTA, _encode_delta(ingest_id, facts))
+        self._append(record)
         self.pending[ingest_id] = list(facts)
+        self._delta_bytes[ingest_id] = len(record)
 
     def append_ack(self, ingest_id: str, response: dict) -> None:
         """Record that the delta's chase leg finished and its covering
@@ -301,12 +317,12 @@ class IngestJournal:
             _frame(_KIND_ACK, _encode_ack(ingest_id, response)),
             sync=False,
         )
-        self.pending.pop(ingest_id, None)
+        self._cover(ingest_id)
         self.acked[ingest_id] = response
         self.acked.move_to_end(ingest_id)
         while len(self.acked) > MAX_ACKS:
             self.acked.popitem(last=False)
-        if self._bytes > self.compact_bytes:
+        if self._covered_bytes > self.compact_bytes:
             self.compact()
 
     # -- compaction ----------------------------------------------------------
@@ -330,6 +346,7 @@ class IngestJournal:
         os.replace(tmp, self.path)
         self._fsync_dir()
         self._bytes = len(out)
+        self._covered_bytes = 0
 
     def describe(self) -> dict:
         """Counters for ``/stats``."""

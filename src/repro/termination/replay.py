@@ -80,8 +80,7 @@ def confirm_witness(
             database, rules, witness.variant, max_steps=budget
         )
         firings: Dict[int, int] = {idx: 0 for idx in walk_rule_indices}
-        for step in result.steps:
-            idx = step.trigger.rule_index
+        for idx in result.steps.rule_indices():
             if idx in firings:
                 firings[idx] += 1
         if all(count >= rounds for count in firings.values()):

@@ -236,3 +236,30 @@ def test_store_path_property(tmp_path):
     )
     assert memory.store_path is None
     memory.close()
+
+
+def test_compactions_stay_bounded_once_the_ack_window_is_full(
+        tmp_path, monkeypatch):
+    # The kept ACK window alone outgrows the default threshold, so a
+    # size-triggered journal would compact on every ack past ~300.
+    path = str(tmp_path / JOURNAL_FILE)
+    journal = IngestJournal(path)
+    compactions = []
+    real_compact = IngestJournal.compact
+
+    def counting_compact(self):
+        compactions.append(self.describe()["bytes"])
+        real_compact(self)
+
+    monkeypatch.setattr(IngestJournal, "compact", counting_compact)
+    delta_bytes = 0
+    for i in range(1000):
+        before = journal.describe()["bytes"]
+        journal.append_delta(f"d{i}", facts(f"e(a{i}, b{i})"))
+        delta_bytes += journal.describe()["bytes"] - before
+        journal.append_ack(f"d{i}", {"i": i, "pad": "x" * 150})
+    assert len(journal.acked) == MAX_ACKS
+    assert len(compactions) <= delta_bytes // journal.compact_bytes + 1
+    reopened = IngestJournal(path)
+    assert not reopened.pending
+    assert reopened.recorded("d999") == {"i": 999, "pad": "x" * 150}

@@ -8,15 +8,22 @@ readers never see a partially applied extension leg, on any executor.
 """
 
 import json
+import re
 import threading
 
 import pytest
 
 from repro.chase import ChaseVariant, run_chase
 from repro.chase.incremental import ChaseSession
-from repro.model import Instance
+from repro.model import Atom, Instance, Predicate
 from repro.model.instances import SnapshotInstance
-from repro.parser import parse_database, parse_fact, parse_program, parse_query
+from repro.parser import (
+    atom_to_text,
+    parse_database,
+    parse_fact,
+    parse_program,
+    parse_query,
+)
 from repro.serve import (
     BackgroundServer,
     ChaseService,
@@ -434,3 +441,29 @@ def test_http_readonly_store_conflict():
         assert status == 409
         assert "read-only" in out["error"]
     service.close()
+
+
+def test_service_answers_render_like_atom_to_text():
+    rules = parse_program("e(X, Y) -> exists W . r(X, Y, W)")
+    base = parse_database(
+        "e('New York', a)\ne(b, 'Big-Apple!')\ne('_x', '')\ne(c, a)"
+    )
+    session = ChaseSession.start(base, rules)
+    service = ChaseService()
+    service.add_session("default", session)
+    try:
+        out = service.query("q(X, Y, W) :- r(X, Y, W)")
+        query = parse_query("q(X, Y, W) :- r(X, Y, W)")
+        expected = [
+            atom_to_text(Atom(Predicate("q", len(answer)), answer))
+            for answer in query.answers(session.snapshot(), policy="cost")
+        ]
+        assert out["answers"] == expected
+        assert any("'New York'" in text for text in out["answers"])
+        assert any("''" in text for text in out["answers"])
+        assert all(
+            re.fullmatch(r"z\d+\)", text.split(", ")[-1])
+            for text in out["answers"]
+        )
+    finally:
+        service.close()
